@@ -323,18 +323,24 @@ def gelu(x) -> Tensor:
     return _make(y, (x,), backward_fn)
 
 
+def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """Layer norm over the last axis; returns (y, xhat, inv_std)."""
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
+    centered = x - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    return xhat * gain + bias, xhat, inv_std
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"layer_norm expects gain/bias of shape ({d},)")
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    centered = x.data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    y = xhat * gain.data + bias.data
+    y, xhat, inv_std = _layer_norm_forward(x.data, gain.data, bias.data, eps)
 
     def backward_fn(g):
         lead = tuple(range(g.ndim - 1))
@@ -445,14 +451,20 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape))
 
 
-def ffn_op(x, w1, b1, w2, b2) -> Tensor:
-    """Two-layer feed-forward block with GELU, fused into one node."""
-    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
-    pre = x.data @ w1.data + b1.data
+def _ffn_forward(x, w1, b1, w2, b2):
+    """GELU (tanh form) feed-forward on the rows of ``x``; returns
+    (out, pre-activation, tanh term, activation)."""
+    pre = x @ w1 + b1
     inner = _GELU_C * (pre + 0.044715 * pre**3)
     t = np.tanh(inner)
     act = 0.5 * pre * (1.0 + t)
-    out = act @ w2.data + b2.data
+    return act @ w2 + b2, pre, t, act
+
+
+def ffn_op(x, w1, b1, w2, b2) -> Tensor:
+    """Two-layer feed-forward block with GELU, fused into one node."""
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    out, pre, t, act = _ffn_forward(x.data, w1.data, b1.data, w2.data, b2.data)
 
     def backward_fn(g):
         g_b2 = g.sum(axis=0)
@@ -545,6 +557,32 @@ def relation_biased_attention_op(z, q_grid, wqs, wks, wvs, wkr, wvr, num_heads: 
     return _make(out, (z, q_grid, wqs, wks, wvs, wkr, wvr), backward_fn)
 
 
+def _split_heads(m: np.ndarray, num_heads: int) -> np.ndarray:
+    """(..., len, d_model) -> (..., heads, len, d_k): the packed head blocks
+    of the projection side by side become a leading heads axis (a view)."""
+    *lead, length, d_model = m.shape
+    return np.swapaxes(m.reshape(*lead, length, num_heads, d_model // num_heads), -2, -3)
+
+
+def _merge_heads(m: np.ndarray) -> np.ndarray:
+    """Inverse of ``_split_heads``: (..., heads, len, d_k) -> (..., len, d_model)."""
+    *lead, num_heads, length, d_k = m.shape
+    return np.swapaxes(m, -2, -3).reshape(*lead, length, num_heads * d_k)
+
+
+def _softmax_attention(q, k, v, scaling: float, blocked=None):
+    """Scaled dot-product attention over split heads; ``q``, ``k`` and ``v``
+    broadcast as (..., heads, len, d_k) and blocked positions get exactly
+    zero weight. Returns (probs, probs @ v)."""
+    scores = (q @ np.swapaxes(k, -1, -2)) * scaling
+    if blocked is not None:
+        scores = np.where(blocked, -np.inf, scores)
+    scores -= scores.max(axis=-1, keepdims=True)
+    exp = np.exp(scores)
+    probs = exp / exp.sum(axis=-1, keepdims=True)
+    return probs, probs @ v
+
+
 def multihead_attention_op(
     x_q,
     x_kv,
@@ -565,8 +603,7 @@ def multihead_attention_op(
     """
     x_q, x_kv = as_tensor(x_q), as_tensor(x_kv)
     wq, wk, wv, wo = as_tensor(wq), as_tensor(wk), as_tensor(wv), as_tensor(wo)
-    lq, d_model = x_q.data.shape
-    lk = x_kv.data.shape[0]
+    _, d_model = x_q.data.shape
     if x_kv.data.shape[1] != d_model or wq.data.shape != (d_model, d_model):
         raise ShapeError("attention operands disagree on d_model")
     if d_model % num_heads != 0:
@@ -574,35 +611,23 @@ def multihead_attention_op(
     d_k = d_model // num_heads
     scaling = 1.0 / math.sqrt(d_k)
 
-    def heads(m, length):
-        return m.reshape(length, num_heads, d_k).transpose(1, 0, 2)
-
-    q = heads(x_q.data @ wq.data, lq)
-    k = heads(x_kv.data @ wk.data, lk)
-    v = heads(x_kv.data @ wv.data, lk)
-    scores = (q @ k.transpose(0, 2, 1)) * scaling
-    if blocked is not None:
-        scores = np.where(blocked, -np.inf, scores)
-    scores -= scores.max(axis=-1, keepdims=True)
-    exp = np.exp(scores)
-    probs = exp / exp.sum(axis=-1, keepdims=True)
-    context = (probs @ v).transpose(1, 0, 2).reshape(lq, d_model)
+    q = _split_heads(x_q.data @ wq.data, num_heads)
+    k = _split_heads(x_kv.data @ wk.data, num_heads)
+    v = _split_heads(x_kv.data @ wv.data, num_heads)
+    probs, heads_context = _softmax_attention(q, k, v, scaling, blocked)
+    context = _merge_heads(heads_context)
     out = context @ wo.data
 
     def backward_fn(g):
         g_wo = context.T @ g
-        g_context = (g @ wo.data.T).reshape(lq, num_heads, d_k).transpose(1, 0, 2)
+        g_context = _split_heads(g @ wo.data.T, num_heads)
         g_probs = g_context @ v.transpose(0, 2, 1)
         g_v = probs.transpose(0, 2, 1) @ g_context
         g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
         g_scores *= scaling
         g_q = g_scores @ k
         g_k = g_scores.transpose(0, 2, 1) @ q
-
-        def unheads(m, length):
-            return m.transpose(1, 0, 2).reshape(length, d_model)
-
-        g_q, g_k, g_v = unheads(g_q, lq), unheads(g_k, lk), unheads(g_v, lk)
+        g_q, g_k, g_v = _merge_heads(g_q), _merge_heads(g_k), _merge_heads(g_v)
         g_xq = g_q @ wq.data.T
         g_xkv = g_k @ wk.data.T + g_v @ wv.data.T
         return (

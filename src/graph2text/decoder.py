@@ -3,6 +3,7 @@ encoder states, a tied language-model head, and beam-search generation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,12 +11,16 @@ import numpy as np
 from .autograd import (
     ParamStore,
     Tensor,
+    _ffn_forward,
+    _layer_norm_forward,
+    _merge_heads,
+    _softmax_attention,
+    _split_heads,
     add,
     embedding_lookup,
     layer_norm,
     log_softmax,
     matmul,
-    no_grad,
     slice_view,
     transpose,
 )
@@ -135,59 +140,92 @@ def decode_train(
     return lm_logits(states, store), states
 
 
-def beam_search(step_logprobs, beam: BeamConfig, eos_id: int = EOS_ID) -> list[int]:
-    """Generic beam search over a step function.
+def _top_tokens(logprobs: np.ndarray, k: int) -> list[tuple[int, int]]:
+    """(row, token) for the ``k`` most likely tokens of every row, ties toward
+    the lower id: the head of a stable argsort of -logprobs per row, found by
+    a partition instead of a sort of the whole vocabulary."""
+    k = min(k, logprobs.shape[1])
+    kth = -np.partition(-logprobs, k - 1, axis=1)[:, k - 1 : k]
+    rows, tokens = np.nonzero(logprobs >= kth)  # ids ascend within a row
+    order = np.lexsort((tokens, -logprobs[rows, tokens], rows))
+    taken = [0] * len(logprobs)
+    picked = []
+    for row, token in zip(rows[order].tolist(), tokens[order].tolist()):
+        if taken[row] < k:
+            taken[row] += 1
+            picked.append((row, token))
+    return picked
 
-    ``step_logprobs(prefix)`` maps a list of generated token ids to the log
-    probability vector of the next token. A hypothesis ends when it emits
-    ``eos_id`` or reaches ``max_len`` tokens; its score is the sum of token
-    log probabilities divided by length**length_penalty, the length counting
-    every emitted token including the end marker. Token-level ties break
-    toward the lower id. The greedy rollout is always scored as a candidate,
-    so the result never ranks below greedy.
+
+def beam_search(step_logprobs, beam: BeamConfig, eos_id: int = EOS_ID) -> list[int]:
+    """Generic beam search over a batched step function.
+
+    ``step_logprobs(parent_rows, last_tokens)`` extends a block of prefixes by
+    one token each and returns an ``(n, V)`` array: row i of the result is
+    the log probability vector of the token after prefix i, where prefix i is
+    row ``parent_rows[i]`` of the previous call's block followed by
+    ``last_tokens[i]``. The first call extends a single empty root row with
+    <BOS>; each later call appends one generated token, so every row of
+    a call has the same length. All live hypotheses, and for beams above one
+    the greedy rollout as one extra row, advance in one call per step.
+
+    A hypothesis ends when it emits ``eos_id`` or reaches ``max_len`` tokens;
+    its score is the sum of token log probabilities divided by
+    length**length_penalty, the length counting every emitted token including
+    the end marker. Token-level ties break toward the lower id. The greedy
+    rollout is always scored as a candidate, so the result never ranks below
+    greedy.
     """
 
     def penalized(logprob_sum: float, length: int) -> float:
         return logprob_sum / (length ** beam.length_penalty) if length > 0 else logprob_sum
 
-    def rollout_greedy() -> tuple[float, list[int]]:
-        prefix: list[int] = []
-        total = 0.0
-        for _ in range(beam.max_len):
-            lp = step_logprobs(prefix)
-            token = int(np.argmax(lp))  # np.argmax takes the first (lowest id) maximum
-            total += float(lp[token])
-            prefix.append(token)
-            if token == eos_id:
-                break
-        return penalized(total, len(prefix)), prefix
-
-    live: list[tuple[float, list[int]]] = [(0.0, [])]
+    # (logprob_sum, prefix, row of the last block holding its next-token log probs)
+    live: list[tuple[float, list[int], int]] = [(0.0, [], 0)]
+    greedy: tuple[float, list[int], int] | None = (0.0, [], 0) if beam.beam_size > 1 else None
+    greedy_result: tuple[float, list[int]] = (0.0, [])  # stays so only for max_len 0
     finished: list[tuple[float, list[int]]] = []
+    parents, tokens = [0], [BOS_ID]
     for _ in range(beam.max_len):
-        candidates: list[tuple[float, float, list[int]]] = []
-        for logprob_sum, prefix in live:
-            lp = step_logprobs(prefix)
-            order = np.argsort(-lp, kind="stable")[: beam.beam_size]
-            for token in order:
-                token = int(token)
-                total = logprob_sum + float(lp[token])
+        block = step_logprobs(np.asarray(parents), np.asarray(tokens))
+        candidates: list[tuple[float, float, list[int], int]] = []
+        if live:
+            live_lp = block[[row for _, _, row in live]]
+            for k, token in _top_tokens(live_lp, beam.beam_size):
+                logprob_sum, prefix, row = live[k]
+                total = logprob_sum + float(live_lp[k, token])
                 seq = prefix + [token]
-                candidates.append((penalized(total, len(seq)), total, seq))
+                candidates.append((penalized(total, len(seq)), total, seq, row))
         candidates.sort(key=lambda c: (-c[0], c[2]))
         live = []
-        for score, total, seq in candidates:
+        for score, total, seq, row in candidates:
             if seq[-1] == eos_id:
                 finished.append((score, seq))
             elif len(live) < beam.beam_size:
-                live.append((total, seq))
+                live.append((total, seq, row))
             if len(live) >= beam.beam_size and len(finished) >= beam.beam_size:
                 break
-        if not live:
+        if greedy is not None:
+            total, prefix, row = greedy
+            lp = block[row]
+            token = int(np.argmax(lp))  # np.argmax takes the first (lowest id) maximum
+            total += float(lp[token])
+            prefix = prefix + [token]
+            greedy = (total, prefix, row)
+            if token == eos_id or len(prefix) == beam.max_len:
+                greedy_result = (penalized(total, len(prefix)), prefix)
+                greedy = None
+        extended = live + ([greedy] if greedy is not None else [])
+        if not extended:
             break
-    finished.extend((penalized(total, len(seq)), seq) for total, seq in live if seq)
+        parents = [row for _, _, row in extended]
+        tokens = [prefix[-1] for _, prefix, _ in extended]
+        live = [(total, seq, k) for k, (total, seq, _) in enumerate(live)]
+        if greedy is not None:
+            greedy = (greedy[0], greedy[1], len(live))
+    finished.extend((penalized(total, len(seq)), seq) for total, seq, _ in live if seq)
     if beam.beam_size > 1:
-        finished.append(rollout_greedy())
+        finished.append(greedy_result)
     finished.sort(key=lambda c: (-c[0], len(c[1]), c[1]))
     return finished[0][1]
 
@@ -199,14 +237,57 @@ def generate(
     beam: BeamConfig,
     encoder_padding: np.ndarray | None = None,
 ) -> list[int]:
-    """Beam-search decode from <BOS>; returns generated ids without markers."""
+    """Beam-search decode from <BOS>; returns generated ids without markers.
 
-    def step_logprobs(prefix: list[int]) -> np.ndarray:
-        input_ids = np.asarray([BOS_ID] + list(prefix), dtype=np.int64)
-        with no_grad():
-            states = _decoder_states(input_ids, encoder_states, store, cfg, encoder_padding)
-            logits = lm_logits(slice_view(states, slice(len(input_ids) - 1, len(input_ids))), store)
-            return log_softmax(logits, axis=-1).data[0]
+    Decoding is incremental. The encoder states pass through each layer's
+    cross-attention K/V projections once. Each layer caches the self-attention
+    K/V of every row as (rows, heads, t, d_k); a step gathers the cache by
+    parent row and appends the new position, so the decoder runs only for
+    the newest position of every row, all rows as one block.
+    """
+    w = {name: store[name].data for name in store.names() if name.startswith("dec.")}
+    tok_emb = store["tok_emb"].data
+    heads = cfg.num_heads
+    scaling = 1.0 / math.sqrt(cfg.d_model // heads)
+    memory = encoder_states.data
+    blocked = None
+    if encoder_padding is not None:
+        blocked = np.asarray(encoder_padding, dtype=bool).reshape(1, 1, -1)
+    cross_kv = [
+        (_split_heads(memory @ w[f"dec.{layer}.cross.wk"], heads),
+         _split_heads(memory @ w[f"dec.{layer}.cross.wv"], heads))
+        for layer in range(cfg.num_layers)
+    ]
+    empty = np.zeros((1, heads, 0, cfg.d_model // heads))
+    self_kv = [(empty, empty)] * cfg.num_layers
+
+    def step_logprobs(parent_rows: np.ndarray, last_tokens: np.ndarray) -> np.ndarray:
+        t = self_kv[0][0].shape[2]
+        x = tok_emb[last_tokens] + w["dec.pos_emb"][t]
+        for layer in range(cfg.num_layers):
+            p = f"dec.{layer}"
+            # (rows, 1, d): one new position per row, split to (rows, heads, 1, d_k)
+            normed = _layer_norm_forward(x, w[f"{p}.ln1.g"], w[f"{p}.ln1.b"])[0][:, None, :]
+            cached_keys, cached_values = self_kv[layer]
+            new_keys = _split_heads(normed @ w[f"{p}.self.wk"], heads)
+            new_values = _split_heads(normed @ w[f"{p}.self.wv"], heads)
+            keys = np.concatenate([cached_keys[parent_rows], new_keys], axis=2)
+            values = np.concatenate([cached_values[parent_rows], new_values], axis=2)
+            self_kv[layer] = (keys, values)
+            query = _split_heads(normed @ w[f"{p}.self.wq"], heads)
+            context = _softmax_attention(query, keys, values, scaling)[1]
+            x = x + _merge_heads(context)[:, 0] @ w[f"{p}.self.wo"]
+            # rows take the place of query positions: (heads, rows, d_k)
+            normed = _layer_norm_forward(x, w[f"{p}.ln2.g"], w[f"{p}.ln2.b"])[0]
+            query = _split_heads(normed @ w[f"{p}.cross.wq"], heads)
+            context = _softmax_attention(query, *cross_kv[layer], scaling, blocked)[1]
+            x = x + _merge_heads(context) @ w[f"{p}.cross.wo"]
+            normed = _layer_norm_forward(x, w[f"{p}.ln3.g"], w[f"{p}.ln3.b"])[0]
+            x = x + _ffn_forward(
+                normed, w[f"{p}.ffn.w1"], w[f"{p}.ffn.b1"], w[f"{p}.ffn.w2"], w[f"{p}.ffn.b2"]
+            )[0]
+        states = _layer_norm_forward(x, w["dec.final_ln.g"], w["dec.final_ln.b"])[0]
+        return log_softmax(states @ tok_emb.T, axis=-1).data
 
     effective = BeamConfig(
         beam_size=beam.beam_size,

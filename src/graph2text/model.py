@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import ParamStore, Tensor
+from .autograd import ParamStore, Tensor, no_grad
 from .data import GraphTextPair, LinearizedGraph, linearize
 from .decoder import BeamConfig, DecoderConfig, decode_train, generate, init_decoder_params
 from .encoder import EncoderConfig, EncoderInput, encode, init_encoder_params
@@ -35,7 +35,8 @@ class Seq2SeqModel:
         )
 
     def generate(self, inp: EncoderInput, beam: BeamConfig) -> list[int]:
-        states = self.encode(inp)
+        with no_grad():  # nothing backpropagates through decoding
+            states = self.encode(inp)
         return generate(states, self.store, self.decoder_config, beam, inp.padding)
 
     def encoder_input(self, lin: LinearizedGraph, text_tokens=None) -> EncoderInput:

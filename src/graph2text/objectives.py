@@ -55,6 +55,11 @@ class TransportPlan:
     def __post_init__(self):
         if self.matrix.shape != (len(self.row_marginals), len(self.col_marginals)):
             raise ShapeError("plan shape disagrees with marginal lengths")
+        if not np.isfinite(self.matrix).all():
+            raise NumericError(
+                "transport plan has non-finite entries: the proximal kernel exp(-C/beta) "
+                "underflows when beta is small against the costs; raise OTConfig.beta"
+            )
         if (self.matrix < 0).any():
             raise NumericError("transport plan has negative entries")
 

@@ -14,7 +14,7 @@ import numpy as np
 from .autograd import ParamStore, backward
 from .decoder import DecoderConfig
 from .encoder import EncoderConfig
-from .errors import CheckpointError, EmptyCorpus, UsageError
+from .errors import CheckpointError, EmptyCorpus, NumericError, UsageError
 from .model import Seq2SeqModel, build_model
 from .objectives import OTConfig, combined_pretrain_loss, loss_finetune
 from .vocab import Vocabulary
@@ -124,9 +124,11 @@ def train(
     """Run the optimization loop and return the per-step log records.
 
     Batches are shuffled per epoch with a seeded generator; each record holds
-    {step, lr, l_text, l_graph, l_ot, total}. With an output directory, the
-    log is streamed to log.jsonl and checkpoints are written at epoch
-    boundaries (every ``checkpoint_every`` epochs and always at the last).
+    {step, lr, l_text, l_graph, l_ot, total}. A non-finite loss component or
+    gradient norm raises ``NumericError`` naming the step before the update
+    is applied. With an output directory, the log is streamed to log.jsonl
+    and checkpoints are written at epoch boundaries (every
+    ``checkpoint_every`` epochs and always at the last).
     """
     if not corpus:
         raise EmptyCorpus("training corpus is empty")
@@ -153,23 +155,25 @@ def train(
                 sums = {"l_text": 0.0, "l_graph": 0.0, "l_ot": 0.0}
                 for k, idx in enumerate(batch):
                     pair = corpus[idx]
-                    if cfg.task == TASK_PRETRAIN:
-                        bundle = combined_pretrain_loss(
-                            model, pair, _pair_rng(cfg.seed, step, k),
-                            cfg.loss_weights, cfg.ot_config,
-                        )
-                        loss = bundle.total
-                        for key, value in bundle.components().items():
-                            sums[key] += value
-                    else:
-                        loss = loss_finetune(model, pair)
-                        sums["l_text"] += loss.item()
+                    try:
+                        if cfg.task == TASK_PRETRAIN:
+                            bundle = combined_pretrain_loss(
+                                model, pair, _pair_rng(cfg.seed, step, k),
+                                cfg.loss_weights, cfg.ot_config,
+                            )
+                            loss = bundle.total
+                            for key, value in bundle.components().items():
+                                sums[key] += value
+                        else:
+                            loss = loss_finetune(model, pair)
+                            sums["l_text"] += loss.item()
+                    except NumericError as exc:
+                        raise NumericError(f"step {step}, pair {idx}: {exc}") from exc
                     total = loss if total is None else total + loss
                 mean_loss = total * (1.0 / len(batch))
                 backward(mean_loss)
-                clip_gradients(model.store, cfg.max_grad_norm)
+                norm = clip_gradients(model.store, cfg.max_grad_norm)
                 lr = lr_at(step, total_steps, cfg)
-                adam_step(model.store, state, lr, cfg)
                 record = {
                     "step": step,
                     "lr": lr,
@@ -178,6 +182,13 @@ def train(
                     "l_ot": sums["l_ot"] / len(batch),
                     "total": mean_loss.item(),
                 }
+                # NaN > max_norm is False, so a non-finite norm never clips:
+                # stop before the update reaches a parameter or the log
+                checked = dict(record, grad_norm=norm)
+                for name in ("l_text", "l_graph", "l_ot", "total", "grad_norm"):
+                    if not math.isfinite(checked[name]):
+                        raise NumericError(f"step {step}: {name} is {checked[name]}")
+                adam_step(model.store, state, lr, cfg)
                 records.append(record)
                 if log_fh is not None:
                     log_fh.write(json.dumps(record) + "\n")

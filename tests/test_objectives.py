@@ -92,6 +92,13 @@ class TestIpot:
         with pytest.raises(NumericError):
             ipot(C, *uniform_marginals(2, 2))
 
+    def test_underflowing_kernel_rejected(self):
+        # exp(-C/beta) is 0.0 for every entry, so the scaling divides 0 by 0
+        C = np.random.default_rng(3).uniform(0.8, 1.0, size=(4, 6))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="beta"):
+                ipot(C, *uniform_marginals(4, 6), OTConfig(beta=1e-3))
+
     def test_plan_nonnegative(self):
         rng = np.random.default_rng(5)
         C = rng.uniform(0, 2, size=(4, 6))

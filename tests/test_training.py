@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from graph2text.autograd import ParamStore
-from graph2text.errors import CheckpointError, UsageError
+from graph2text import training
+from graph2text.autograd import ParamStore, backward
+from graph2text.errors import CheckpointError, NumericError, UsageError
 from graph2text.synth import build_toy_model, overfit_corpus
 from graph2text.training import (
     AdamState,
@@ -156,6 +157,40 @@ class TestTrainLoop:
         losses = [r["total"] for r in records]
         windows = [np.mean(losses[i : i + 100]) for i in range(0, 200, 100)]
         assert windows[1] <= windows[0]
+
+    def test_nan_parameter_stops_finetune_before_update(self, tmp_path):
+        corpus = overfit_corpus(4)
+        model, _ = build_toy_model(corpus=corpus)
+        model.store["dec.final_ln.g"].data[0] = np.nan
+        before = {name: t.data.copy() for name, t in model.store.items()}
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=2, epochs=1, task="finetune")
+        with pytest.raises(NumericError, match=r"^step 0: l_text is nan$"):
+            train(corpus, model, cfg, tmp_path)
+        for name, t in model.store.items():
+            np.testing.assert_array_equal(t.data, before[name])
+        assert (tmp_path / "log.jsonl").read_text() == ""
+        assert not (tmp_path / "checkpoints").exists()
+
+    def test_nan_gradient_stops_training(self, monkeypatch):
+        corpus = overfit_corpus(2)
+        model, _ = build_toy_model(corpus=corpus)
+
+        def poisoned_backward(loss):
+            backward(loss)
+            model.store["dec.0.ffn.b1"].grad[0] = np.nan
+
+        monkeypatch.setattr(training, "backward", poisoned_backward)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=1, epochs=1, task="finetune")
+        with pytest.raises(NumericError, match=r"^step 0: grad_norm is nan$"):
+            train(corpus, model, cfg)
+
+    def test_nan_parameter_names_step_and_pair_in_pretrain(self):
+        corpus = overfit_corpus(2)
+        model, _ = build_toy_model(corpus=corpus)
+        model.store["dec.final_ln.g"].data[0] = np.nan
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=2, epochs=1, task="pretrain")
+        with pytest.raises(NumericError, match=r"^step 0, pair \d+: "):
+            train(corpus, model, cfg)
 
     def test_pretrain_logs_all_components(self):
         corpus = overfit_corpus(2)
