@@ -210,12 +210,15 @@ def _parse_record(line_no: int, record: dict) -> GraphTextPair:
         raise CorpusParseError(line_no, "'entities' must be an array of strings")
     entities = tuple(e.casefold() for e in entities)
 
+    if not isinstance(record["triples"], list):
+        raise CorpusParseError(line_no, "'triples' must be an array")
     relations: dict[tuple[int, int], str] = {}
     for t in record["triples"]:
         if not (isinstance(t, list) and len(t) == 3 and isinstance(t[1], str)):
             raise CorpusParseError(line_no, f"bad triple {t!r}; expected [head, relation, tail]")
         head, rel, tail = t
-        if not (isinstance(head, int) and isinstance(tail, int)):
+        # type(...) is int: JSON true/false load as bool, a subclass of int
+        if not (type(head) is int and type(tail) is int):
             raise CorpusParseError(line_no, f"triple indices must be integers, got {t!r}")
         if not (1 <= head <= len(entities) and 1 <= tail <= len(entities)):
             raise CorpusParseError(line_no, f"triple {t!r} references a missing entity")
@@ -235,6 +238,8 @@ def _parse_record(line_no: int, record: dict) -> GraphTextPair:
         raise CorpusParseError(line_no, str(exc)) from exc
 
     if "mentions" in record and record["mentions"] is not None:
+        if not isinstance(record["mentions"], dict):
+            raise CorpusParseError(line_no, "'mentions' must be an object")
         mentions: dict[int, frozenset[int]] = {}
         for key, positions in record["mentions"].items():
             try:
@@ -243,8 +248,12 @@ def _parse_record(line_no: int, record: dict) -> GraphTextPair:
                 raise CorpusParseError(line_no, f"bad mention key {key!r}") from None
             if not (1 <= idx <= len(entities)):
                 raise CorpusParseError(line_no, f"mention key {idx} references a missing entity")
-            if not all(isinstance(p, int) and 1 <= p <= len(text) for p in positions):
-                raise CorpusParseError(line_no, f"mention positions {positions!r} out of range")
+            if not isinstance(positions, list):
+                raise CorpusParseError(line_no, f"mention positions {positions!r} must be an array")
+            if not all(type(p) is int and 1 <= p <= len(text) for p in positions):
+                raise CorpusParseError(
+                    line_no, f"mention positions {positions!r} must be integers in [1, {len(text)}]"
+                )
             mentions[idx] = frozenset(positions)
     else:
         mentions = find_entity_mentions(entities, text)

@@ -118,6 +118,27 @@ def lm_logits(states: Tensor, store: ParamStore) -> Tensor:
     return matmul(states, transpose(store["tok_emb"]))
 
 
+def teacher_forced_states(
+    target_ids,
+    encoder_states: Tensor,
+    store: ParamStore,
+    cfg: DecoderConfig,
+    encoder_padding: np.ndarray | None = None,
+) -> Tensor:
+    """Final decoder states of a teacher-forced pass over the targets.
+
+    The decoder reads <BOS> followed by the targets shifted right; row i of
+    the result is the contextual vector of the position that predicts
+    target i.
+    """
+    target_ids = np.asarray(target_ids, dtype=np.int64)
+    n = len(target_ids)
+    if n > cfg.max_output_len:
+        raise LengthError(f"target length {n} exceeds max_output_len {cfg.max_output_len}")
+    input_ids = np.concatenate([[BOS_ID], target_ids[:-1]])
+    return _decoder_states(input_ids, encoder_states, store, cfg, encoder_padding)
+
+
 def decode_train(
     target_ids,
     encoder_states: Tensor,
@@ -125,18 +146,12 @@ def decode_train(
     cfg: DecoderConfig,
     encoder_padding: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """Teacher-forced pass over the target sequence.
+    """Teacher-forced pass over the target sequence; returns (logits, states).
 
-    The decoder reads <BOS> followed by the targets shifted right; position i
-    of the returned logits predicts target i, and row i of the returned final
-    states is the contextual vector for that same position.
+    Position i of the logits predicts target i, and row i of the states is
+    the contextual vector for that same position (see ``teacher_forced_states``).
     """
-    target_ids = np.asarray(target_ids, dtype=np.int64)
-    n = len(target_ids)
-    if n > cfg.max_output_len:
-        raise LengthError(f"target length {n} exceeds max_output_len {cfg.max_output_len}")
-    input_ids = np.concatenate([[BOS_ID], target_ids[:-1]])
-    states = _decoder_states(input_ids, encoder_states, store, cfg, encoder_padding)
+    states = teacher_forced_states(target_ids, encoder_states, store, cfg, encoder_padding)
     return lm_logits(states, store), states
 
 

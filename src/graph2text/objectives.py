@@ -22,7 +22,7 @@ from .autograd import (
     stack,
 )
 from .data import GraphTextPair, linearize, unit_sequence
-from .decoder import lm_logits
+from .decoder import lm_logits, teacher_forced_states
 from .encoder import EncoderInput
 from .errors import MarginalError, NumericError, ShapeError
 from .model import Seq2SeqModel
@@ -199,7 +199,9 @@ def alignment_embeddings(model: Seq2SeqModel, pair: GraphTextPair) -> tuple[Tens
         unit_rows.append(index_mean_pool(enc_states, [p - 1 for p in positions]))
     graph_vectors = stack(unit_rows)
     targets = model.target_ids(pair.text)
-    _, dec_states = model.decode_train(targets, enc_states, inp.padding)
+    dec_states = teacher_forced_states(
+        targets, enc_states, model.store, model.decoder_config, inp.padding
+    )
     text_vectors = dec_states[0 : pair.n]
     return graph_vectors, text_vectors
 

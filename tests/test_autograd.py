@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from graph2text import autograd as ag
 from graph2text.autograd import ParamStore, Tensor, backward, grad_check, no_grad
 from graph2text.errors import EmptyPoolError, ShapeError, UsageError
+from graph2text.objectives import combined_pretrain_loss, loss_finetune
+from graph2text.synth import build_toy_model, overfit_corpus
 
 
 def check_scalar_fn(build, arrays, tol=1e-6, eps=1e-6):
@@ -340,3 +343,123 @@ class TestOpGradientsProperty:
             return ag.reduce_sum(ag.mul(ag.cosine_cost(s["a"], s["b"]), Tensor(w)))
 
         check_scalar_fn(build, arrays, tol=1e-5)
+
+
+def _pow_gelu(v, slope):
+    """Reference tanh-GELU with its cube taken by numpy's general ``pow``."""
+    t = np.tanh(ag._GELU_C * (v + 0.044715 * v**3))
+    y = 0.5 * v * (1.0 + t)
+    if not slope:
+        return y, None
+    d_inner = ag._GELU_C * (1.0 + 3 * 0.044715 * v**2)
+    return y, 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * d_inner
+
+
+def _assert_gradient_gate(grads, reference):
+    """Per parameter: worst |difference| <= 1e-12 * max |reference gradient|."""
+    # bit-equal gradients everywhere would mean the reference never ran
+    assert any(not np.array_equal(grads[name], ref) for name, ref in reference.items())
+    for name, ref in reference.items():
+        worst = np.abs(grads[name] - ref).max()
+        assert worst <= 1e-12 * np.abs(ref).max(), name
+
+
+def _store_gradients(store, build_loss):
+    store.zero_grads()
+    loss = build_loss()
+    backward(loss)
+    return {name: t.grad.copy() for name, t in store.items()}
+
+
+def _perturbed_toy(corpus, seed):
+    """A toy model whose weights move by N(0, 0.3), so FFN pre-activations
+    reach the range where the GELU cube matters."""
+    model, _ = build_toy_model(corpus)
+    rng = np.random.default_rng(seed)
+    for _, t in model.store.items():
+        t.data += rng.normal(0.0, 0.3, size=t.data.shape)
+    return model
+
+
+class TestGeluCube:
+    """The multiplication-form cube rounds differently from ``pow``; every
+    path that runs it must stay within rounding of the ``pow`` reference."""
+
+    POINTS = np.array([0.0, 1e-8, -1e-8, 1.0, -1.0, 4.0, -4.0, 10.0, -10.0, 40.0, -40.0])
+
+    def test_helper_matches_pow_reference(self):
+        x = np.concatenate([self.POINTS, np.random.default_rng(7).normal(size=4000) * 3])
+        y, dy = ag._gelu(x, slope=True)
+        ref_y, ref_dy = _pow_gelu(x, slope=True)
+        # absolute, not relative: in the negative tail (x near -4) the output
+        # is tiny and the relative difference reaches 3e-11
+        bound = 1e-15 * np.maximum(1.0, np.abs(x))
+        assert (np.abs(y - ref_y) <= bound).all()
+        assert (np.abs(dy - ref_dy) <= bound).all()
+        assert np.array_equal(ag._gelu(x, slope=False)[0], y)
+
+    def test_gelu_op_uses_helper(self):
+        x = Tensor(self.POINTS, requires_grad=True)
+        out = ag.gelu(x)
+        backward(ag.reduce_sum(out))
+        y, dy = ag._gelu(self.POINTS, slope=True)
+        assert np.array_equal(out.data, y)
+        assert np.array_equal(x.grad, dy)
+
+    def test_ffn_op_matches_pow_reference(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        n, d, h = 32, 16, 64
+        store = ParamStore()
+        for name, shape in (("x", (n, d)), ("w1", (d, h)), ("b1", (h,)),
+                            ("w2", (h, d)), ("b2", (d,))):
+            store.add(name, rng.normal(size=shape) * 1.5)
+        readout = Tensor(rng.normal(size=(n, d)))
+
+        def build():
+            out = ag.ffn_op(*(store[k] for k in ("x", "w1", "b1", "w2", "b2")))
+            outputs.append(out.data)
+            return ag.reduce_sum(ag.mul(out, readout))
+
+        outputs = []
+        grads = _store_gradients(store, build)
+        monkeypatch.setattr(ag, "_gelu", _pow_gelu)
+        reference = _store_gradients(store, build)
+        out, ref_out = outputs
+        assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
+        assert len(reference) == 5
+        _assert_gradient_gate(grads, reference)
+
+    def test_pretrain_bundle_matches_pow_reference(self, monkeypatch):
+        corpus = overfit_corpus(5)
+        model = _perturbed_toy(corpus, seed=3)
+        pair = corpus[4]  # three entities, two triples
+        bundles = []
+
+        def build():
+            bundles.append(combined_pretrain_loss(model, pair, random.Random(5)))
+            return bundles[-1].total
+
+        grads = _store_gradients(model.store, build)
+        monkeypatch.setattr(ag, "_gelu", _pow_gelu)
+        reference = _store_gradients(model.store, build)
+        ours, ref = (b.components() for b in bundles)
+        for name, value in ref.items():
+            assert value > 0, name
+            assert abs(ours[name] - value) <= 1e-12 * value, name
+        _assert_gradient_gate(grads, reference)
+
+    def test_finetune_loss_matches_pow_reference(self, monkeypatch):
+        corpus = overfit_corpus(5)
+        model = _perturbed_toy(corpus, seed=5)
+        losses = []
+
+        def build():
+            losses.append(loss_finetune(model, corpus[4]))
+            return losses[-1]
+
+        grads = _store_gradients(model.store, build)
+        monkeypatch.setattr(ag, "_gelu", _pow_gelu)
+        reference = _store_gradients(model.store, build)
+        ours, ref = (loss.item() for loss in losses)
+        assert abs(ours - ref) <= 1e-12 * ref
+        _assert_gradient_gate(grads, reference)

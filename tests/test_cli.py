@@ -243,3 +243,11 @@ class TestLinearize:
         assert "<H> alan bean <R> mission <T> apollo 12" in out
         assert "e1 'alan bean': [2, 3]" in out
         assert "r(1, 2) 'mission': [5]" in out
+
+    def test_malformed_mentions_exit_1(self, tmp_path, capsys):
+        corpus = tmp_path / "bad.jsonl"
+        record = {"entities": ["ada", "bo"], "triples": [[1, "likes", 2]],
+                  "text": "ada likes bo", "mentions": [1]}
+        corpus.write_text(json.dumps(record) + "\n")
+        assert main(["linearize", "--corpus", str(corpus)]) == 1
+        assert "line 1: 'mentions' must be an object" in capsys.readouterr().err

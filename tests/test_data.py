@@ -204,3 +204,22 @@ class TestLoadCorpus:
         }
         with pytest.raises(CorpusParseError):
             load_corpus(self._write(tmp_path, [rec]))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mentions", [1]),
+            ("mentions", {"1": 3}),
+            ("mentions", {"1": [True]}),
+            ("triples", [[True, "r", 2]]),
+            ("triples", 5),
+        ],
+        ids=["mentions-array", "mention-positions-scalar", "mention-position-bool",
+             "triple-bool-index", "triples-scalar"],
+    )
+    def test_malformed_field_is_a_parse_error(self, tmp_path, field, value):
+        rec = {"entities": ["a", "b"], "triples": [[1, "r", 2]], "text": "a r b"}
+        rec[field] = value
+        with pytest.raises(CorpusParseError) as err:
+            load_corpus(self._write(tmp_path, [rec]))
+        assert err.value.line_no == 1
