@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptyPoolError, ShapeError, UsageError
+from .errors import ShapeError, UsageError
 
 _grad_enabled = True
 
@@ -232,36 +232,6 @@ def slice_view(a, key) -> Tensor:
     return _make(data, (a,), backward_fn)
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat of zero tensors")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(g):
-        moved = np.moveaxis(g, axis, 0)
-        return tuple(
-            np.moveaxis(moved[offsets[k] : offsets[k + 1]], 0, axis) for k in range(len(tensors))
-        )
-
-    return _make(data, tuple(tensors), backward_fn)
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("stack of zero tensors")
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward_fn(g):
-        moved = np.moveaxis(g, axis, 0)
-        return tuple(moved[k] for k in range(len(tensors)))
-
-    return _make(data, tuple(tensors), backward_fn)
-
-
 def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -277,20 +247,6 @@ def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # neural-net primitives
-
-def softmax(x, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``; rows sum to one."""
-    x = as_tensor(x)
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def backward_fn(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    return _make(y, (x,), backward_fn)
-
 
 def log_softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
@@ -320,13 +276,6 @@ def _gelu(v: np.ndarray, slope: bool):
         return y, None
     d_inner = _GELU_C * (1.0 + 3 * 0.044715 * v**2)
     return y, 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * d_inner
-
-
-def gelu(x) -> Tensor:
-    """Smooth GELU (tanh form); smoothness keeps finite-difference checks tight."""
-    x = as_tensor(x)
-    y, dy = _gelu(x.data, slope=_grad_enabled)
-    return _make(y, (x,), lambda g: (g * dy,))
 
 
 def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
@@ -361,16 +310,6 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         return dx, dgain, dbias
 
     return _make(y, (x, gain, bias), backward_fn)
-
-
-def masked_fill(x, mask, value: float) -> Tensor:
-    """Replace entries where ``mask`` is True with ``value`` (no grad there)."""
-    x = as_tensor(x)
-    mask = np.asarray(mask, dtype=bool)
-    if np.broadcast_shapes(x.data.shape, mask.shape) != x.data.shape:
-        raise ShapeError(f"mask {mask.shape} does not broadcast onto {x.data.shape}")
-    data = np.where(mask, value, x.data)
-    return _make(data, (x,), lambda g: (np.where(mask, 0.0, g),))
 
 
 def embedding_lookup(table, ids) -> Tensor:
@@ -417,27 +356,6 @@ def cross_entropy(logits, target_ids, ignore_id: int | None = None) -> Tensor:
     return _make(np.asarray(loss), (logits,), backward_fn)
 
 
-def index_mean_pool(h, positions) -> Tensor:
-    """Mean of the rows of ``h`` selected by 0-based ``positions``."""
-    h = as_tensor(h)
-    if h.data.ndim != 2:
-        raise ShapeError("index_mean_pool expects a (len, d) tensor")
-    rows = sorted(int(p) for p in positions)
-    if not rows:
-        raise EmptyPoolError("cannot pool over an empty position set")
-    if rows[0] < 0 or rows[-1] >= h.data.shape[0]:
-        raise IndexError(f"pool position out of range for {h.data.shape[0]} rows")
-    idx = np.asarray(rows, dtype=np.int64)
-    data = h.data[idx].mean(axis=0)
-
-    def backward_fn(g):
-        gh = np.zeros_like(h.data)
-        gh[idx] = g / len(rows)
-        return (gh,)
-
-    return _make(data, (h,), backward_fn)
-
-
 def cosine_cost(a, b, eps: float = 1e-12) -> Tensor:
     """Pairwise cosine distance: C[i, j] = 1 - <a_i, b_j> / (|a_i||b_j| + eps).
 
@@ -451,10 +369,6 @@ def cosine_cost(a, b, eps: float = 1e-12) -> Tensor:
     norm_b = sqrt(reduce_sum(mul(b, b), axis=1, keepdims=True))
     denom = add(matmul(norm_a, transpose(norm_b)), Tensor(eps))
     return add(scale(div(dots, denom), -1.0), Tensor(1.0))
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
 
 
 def _ffn_forward(x, w1, b1, w2, b2, slope: bool = False):

@@ -21,14 +21,11 @@ from .autograd import (
     add,
     embedding_lookup,
     ffn_op,
-    index_mean_pool,
     layer_norm,
     matmul,
     multihead_attention_op,
     relation_biased_attention_op,
     slice_view,
-    stack,
-    zeros,
 )
 from .errors import EmptyPoolError, LengthError
 
@@ -187,8 +184,9 @@ def pooling_matrices(inp: EncoderInput, length: int) -> tuple[np.ndarray, np.nda
     (|V|*|V|, len) for the relation grid in row-major (i, j) order.
 
     A unit's row carries weight 1/|positions| at each of its positions, so a
-    matmul against the hidden states performs the mean pooling exactly, and
-    rows of absent relations are zero.
+    matmul against the hidden states performs the mean pooling (a
+    single-position unit copies its row exactly), and rows of absent
+    relations are zero.
     """
     nv = inp.num_entities
     p_ent = np.zeros((nv, length))
@@ -207,35 +205,6 @@ def pooling_matrices(inp: EncoderInput, length: int) -> tuple[np.ndarray, np.nda
         for p in positions:
             p_rel[(i - 1) * nv + (j - 1), p - 1] = weight
     return p_ent, p_rel
-
-
-def pool_units(h: Tensor, inp: EncoderInput) -> tuple[Tensor, Tensor]:
-    """Mean-pool hidden rows into per-entity vectors and a dense relation grid.
-
-    Returns Z of shape (|V|, d) and Q of shape (|V|*|V|, d) in row-major
-    (i, j) order; absent relations contribute all-zero rows.
-    """
-    p_ent, p_rel = pooling_matrices(inp, h.shape[0])
-    return matmul(Tensor(p_ent), h), matmul(Tensor(p_rel), h)
-
-
-def _unit_table_embeddings(ids: np.ndarray, inp: EncoderInput, store: ParamStore) -> tuple[Tensor, Tensor]:
-    """Variant "rel": unit vectors from learned tables instead of pooling."""
-    nv = inp.num_entities
-    ent_table, rel_table = store["struct.ent_emb"], store["struct.rel_emb"]
-    d_model = ent_table.shape[1]
-
-    def table_mean(table, positions):
-        rows = embedding_lookup(table, ids[[p - 1 for p in sorted(positions)]])
-        return index_mean_pool(rows, range(len(positions)))
-
-    z_rows = [table_mean(ent_table, inp.entity_positions[i]) for i in range(1, nv + 1)]
-    q_rows = []
-    for i in range(1, nv + 1):
-        for j in range(1, nv + 1):
-            positions = inp.relation_positions.get((i, j))
-            q_rows.append(table_mean(rel_table, positions) if positions else zeros(d_model))
-    return stack(z_rows), stack(q_rows)
 
 
 def structure_aware_attention(
@@ -269,12 +238,6 @@ def scatter_matrix(inp: EncoderInput, length: int) -> np.ndarray:
     return scatter
 
 
-def residual_fuse(h: Tensor, z_tilde: Tensor, inp: EncoderInput) -> Tensor:
-    """Add z_tilde[j] onto every position of entity j; every other position
-    (relations, markers, text, padding) passes through unchanged."""
-    return add(h, matmul(Tensor(scatter_matrix(inp, h.shape[0])), z_tilde))
-
-
 def encode(inp: EncoderInput, cfg: EncoderConfig, store: ParamStore) -> Tensor:
     """Run the full encoder stack; returns the (len, d_model) final states."""
     length = len(inp.ids)
@@ -291,7 +254,11 @@ def encode(inp: EncoderInput, cfg: EncoderConfig, store: ParamStore) -> Tensor:
         pool_ent, pool_rel = Tensor(p_ent), Tensor(p_rel)
         scatter = Tensor(scatter_matrix(inp, length))
         if cfg.variant == VARIANT_REL:
-            rel_units = _unit_table_embeddings(ids, inp, store)
+            # unit vectors from the learned tables, pooled like token states
+            rel_units = (
+                matmul(pool_ent, embedding_lookup(store["struct.ent_emb"], ids)),
+                matmul(pool_rel, embedding_lookup(store["struct.rel_emb"], ids)),
+            )
 
     for layer in range(cfg.num_layers):
         p = f"enc.{layer}"

@@ -15,15 +15,14 @@ from .autograd import (
     cosine_cost,
     cross_entropy,
     embedding_lookup,
-    index_mean_pool,
+    matmul,
     mul,
     reduce_sum,
     scale,
-    stack,
 )
 from .data import GraphTextPair, linearize, unit_sequence
 from .decoder import lm_logits, teacher_forced_states
-from .encoder import EncoderInput
+from .encoder import EncoderInput, pooling_matrices
 from .errors import MarginalError, NumericError, ShapeError
 from .model import Seq2SeqModel
 from .vocab import SEP_ID, mask_graph, mask_text
@@ -193,11 +192,15 @@ def alignment_embeddings(model: Seq2SeqModel, pair: GraphTextPair) -> tuple[Tens
     lin = linearize(pair.graph)
     inp = model.encoder_input(lin)
     enc_states = model.encode(inp)
-    unit_rows = []
-    for kind, key in unit_sequence(pair.graph):
-        positions = lin.entity_positions[key] if kind == "entity" else lin.relation_positions[key]
-        unit_rows.append(index_mean_pool(enc_states, [p - 1 for p in positions]))
-    graph_vectors = stack(unit_rows)
+    p_ent, p_rel = pooling_matrices(inp, len(inp.ids))
+    nv = inp.num_entities
+    # entity i is row i - 1; relation (i, j) is its row of the row-major
+    # grid, stacked below the |V| entity rows
+    rows = [
+        key - 1 if kind == "entity" else nv + (key[0] - 1) * nv + (key[1] - 1)
+        for kind, key in unit_sequence(pair.graph)
+    ]
+    graph_vectors = matmul(Tensor(np.vstack([p_ent, p_rel])[rows]), enc_states)
     targets = model.target_ids(pair.text)
     dec_states = teacher_forced_states(
         targets, enc_states, model.store, model.decoder_config, inp.padding

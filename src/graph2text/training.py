@@ -49,6 +49,9 @@ class TrainConfig:
             raise ValueError("warmup_ratio must lie in [0, 1]")
         if self.task not in (TASK_PRETRAIN, TASK_FINETUNE):
             raise ValueError(f"unknown task {self.task!r}")
+        for name in ("batch_size", "epochs", "checkpoint_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 class AdamState:
@@ -251,9 +254,15 @@ def _read_manifest(path: Path) -> dict:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError("manifest is not a JSON object")
     for key in ("model", "vocab_file", "params"):
         if key not in manifest:
             raise CheckpointError(f"manifest lacks '{key}'")
+    if not isinstance(manifest["model"], dict):
+        raise CheckpointError("manifest 'model' is not an object")
+    if not isinstance(manifest["params"], list):
+        raise CheckpointError("manifest 'params' is not a list")
     return manifest
 
 
@@ -265,9 +274,13 @@ def _read_params(path: Path, manifest: dict) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     offset = 0
     for entry in manifest["params"]:
+        if not isinstance(entry, dict) or "name" not in entry or "shape" not in entry:
+            raise CheckpointError(f"manifest params entry {entry!r} lacks a name or a shape")
         if entry.get("dtype") != "f64":
             raise CheckpointError(f"unsupported dtype {entry.get('dtype')!r}")
-        shape = tuple(entry["shape"])
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise CheckpointError(f"shape of {entry['name']!r} is not a list of sizes: {shape!r}")
         size = int(np.prod(shape)) if shape else 1
         if offset + size > raw.size:
             raise CheckpointError("parameter file is truncated")
@@ -276,6 +289,19 @@ def _read_params(path: Path, manifest: dict) -> dict[str, np.ndarray]:
     if offset != raw.size:
         raise CheckpointError("parameter file has trailing bytes beyond the manifest")
     return arrays
+
+
+def _copy_params(store: ParamStore, arrays: dict[str, np.ndarray]) -> None:
+    """Assign each stored parameter its array; a missing name or a shape
+    mismatch is an error, and arrays the store does not hold are ignored."""
+    for name, t in store.items():
+        if name not in arrays:
+            raise CheckpointError(f"checkpoint lacks parameter {name!r}")
+        if arrays[name].shape != t.data.shape:
+            raise CheckpointError(
+                f"shape of {name!r} is {arrays[name].shape}, expected {t.data.shape}"
+            )
+        t.data = arrays[name]
 
 
 def load_checkpoint(path: str | Path) -> Seq2SeqModel:
@@ -291,26 +317,24 @@ def load_checkpoint(path: str | Path) -> Seq2SeqModel:
         raise CheckpointError(
             f"vocabulary size {len(vocab)} disagrees with manifest {mc.get('vocab_size')}"
         )
-    enc_cfg = EncoderConfig(
-        num_layers=mc["encoder_layers"], num_heads=mc["num_heads"], d_model=mc["d_model"],
-        d_ff=mc["d_ff"], max_input_len=mc["max_input_len"], variant=mc["variant"],
-    )
-    dec_cfg = DecoderConfig(
-        num_layers=mc["decoder_layers"], num_heads=mc["num_heads"], d_model=mc["d_model"],
-        d_ff=mc["d_ff"], max_output_len=mc["max_output_len"],
-    )
+    try:
+        enc_cfg = EncoderConfig(
+            num_layers=mc["encoder_layers"], num_heads=mc["num_heads"], d_model=mc["d_model"],
+            d_ff=mc["d_ff"], max_input_len=mc["max_input_len"], variant=mc["variant"],
+        )
+        dec_cfg = DecoderConfig(
+            num_layers=mc["decoder_layers"], num_heads=mc["num_heads"], d_model=mc["d_model"],
+            d_ff=mc["d_ff"], max_output_len=mc["max_output_len"],
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"manifest 'model' lacks {exc}") from exc
     model = build_model(vocab, enc_cfg, dec_cfg, seed=0)
     arrays = _read_params(path, manifest)
     if set(arrays) != set(model.store.names()):
         missing = sorted(set(model.store.names()) - set(arrays))
         extra = sorted(set(arrays) - set(model.store.names()))
         raise CheckpointError(f"parameter names disagree (missing {missing}, extra {extra})")
-    for name, t in model.store.items():
-        if arrays[name].shape != t.data.shape:
-            raise CheckpointError(
-                f"shape of {name!r} is {arrays[name].shape}, expected {t.data.shape}"
-            )
-        t.data = arrays[name]
+    _copy_params(model.store, arrays)
     return model
 
 
@@ -327,13 +351,6 @@ def init_model_from_checkpoint(model: Seq2SeqModel, path: str | Path) -> None:
     manifest = _read_manifest(path)
     arrays = _read_params(path, manifest)
     for name, t in model.store.items():
-        if name in arrays:
-            if arrays[name].shape != t.data.shape:
-                raise CheckpointError(
-                    f"shape of {name!r} is {arrays[name].shape}, expected {t.data.shape}"
-                )
-            t.data = arrays[name]
-        elif any(marker in name for marker in _OPTIONAL_PARAM_MARKERS):
-            t.data = np.zeros_like(t.data)
-        else:
-            raise CheckpointError(f"checkpoint lacks parameter {name!r}")
+        if name not in arrays and any(marker in name for marker in _OPTIONAL_PARAM_MARKERS):
+            arrays[name] = np.zeros_like(t.data)
+    _copy_params(model.store, arrays)

@@ -1,10 +1,12 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
+from graph2text.autograd import Tensor, add, backward, div, embedding_lookup, matmul, reduce_sum
 from graph2text.data import GraphTextPair, KnowledgeGraph, find_entity_mentions
 
 
@@ -12,6 +14,50 @@ def make_pair(entities, relations, text: str) -> GraphTextPair:
     graph = KnowledgeGraph(entities, relations)
     tokens = tuple(text.split())
     return GraphTextPair(graph, tokens, find_entity_mentions(graph.entities, tokens))
+
+
+def three_position_pair() -> GraphTextPair:
+    """A graph whose first entity (three tokens, emitted twice) and first
+    relation (three tokens) pool 6 and 3 positions: weights that are not
+    powers of two, so the pooling rounds."""
+    return make_pair(
+        ("ada lovelace king", "bo", "cy dee"),
+        {(1, 2): "likes a lot", (2, 3): "visits", (3, 1): "is near"},
+        "ada lovelace king likes a lot bo who visits cy dee",
+    )
+
+
+def unit_mean(h: Tensor, positions) -> Tensor:
+    """Reference pooling of one unit: the (1, d) sum of the rows of ``h`` at
+    the 1-based ``positions``, divided by their count."""
+    rows = embedding_lookup(h, np.asarray(sorted(positions), dtype=np.int64) - 1)
+    return div(reduce_sum(rows, axis=0, keepdims=True), Tensor(float(len(positions))))
+
+
+def rows_at(rows: dict[int, Tensor], count: int) -> Tensor:
+    """A (count, d) tensor holding each (1, d) row at its index and zeros
+    elsewhere; placement through one-hot columns is exact."""
+    eye = np.eye(count)
+    d = next(iter(rows.values())).shape[1]
+    out = Tensor(np.zeros((count, d)))
+    for k, row in rows.items():
+        out = add(out, matmul(Tensor(eye[:, k : k + 1]), row))
+    return out
+
+
+def store_gradients(store, build_loss) -> dict[str, np.ndarray]:
+    store.zero_grads()
+    backward(build_loss())
+    return {name: t.grad.copy() for name, t in store.items()}
+
+
+def assert_gradient_gate(grads, reference) -> None:
+    """Per parameter: worst |difference| <= 1e-12 * max |reference gradient|."""
+    # bit-equal gradients everywhere would mean the reference never ran
+    assert any(not np.array_equal(grads[name], ref) for name, ref in reference.items())
+    for name, ref in reference.items():
+        worst = np.abs(grads[name] - ref).max()
+        assert worst <= 1e-12 * np.abs(ref).max(), name
 
 
 @pytest.fixture

@@ -11,11 +11,11 @@ import time
 
 import numpy as np
 
-from graph2text.autograd import Tensor, cosine_cost, grad_check, no_grad
+from graph2text.autograd import Tensor, add, cosine_cost, grad_check, matmul, no_grad
 from graph2text.cli import main as cli_main
 from graph2text.data import linearize
 from graph2text.decoder import BeamConfig
-from graph2text.encoder import EncoderConfig, encode, pool_units, residual_fuse
+from graph2text.encoder import EncoderConfig, encode, pooling_matrices, scatter_matrix
 from graph2text.metrics import corpus_bleu, lcs_length, rouge_l
 from graph2text.objectives import (
     OTConfig,
@@ -104,7 +104,8 @@ def test_criterion_3_structure_module_identities():
     inp = model.encoder_input(linearize(corpus[0].graph), corpus[0].text)
     rng = np.random.default_rng(0)
     h = Tensor(rng.normal(size=(len(inp.ids), 16)))
-    fused = residual_fuse(h, Tensor(rng.normal(size=(3, 16))), inp)
+    scatter = Tensor(scatter_matrix(inp, len(inp.ids)))
+    fused = add(h, matmul(scatter, Tensor(rng.normal(size=(3, 16)))))
     entity_rows = {p - 1 for s in inp.entity_positions.values() for p in s}
     passthrough = all(
         np.array_equal(fused.data[r], h.data[r])
@@ -129,7 +130,8 @@ def test_criterion_3_structure_module_identities():
         zero_equiv = zero_equiv and np.array_equal(joint_out.data, seq_out.data)
 
     # (c) single-position pooling copies the row
-    z, _ = pool_units(h, inp)
+    p_ent, _ = pooling_matrices(inp, len(inp.ids))
+    z = matmul(Tensor(p_ent), h)
     single = np.array_equal(z.data[0], h.data[next(iter(inp.entity_positions[1])) - 1])
 
     ok = passthrough and zero_equiv and single

@@ -6,9 +6,12 @@ import pytest
 
 from graph2text import autograd as ag
 from graph2text.autograd import ParamStore, Tensor, backward, grad_check, no_grad
+from graph2text.encoder import EncoderInput, pooling_matrices
 from graph2text.errors import EmptyPoolError, ShapeError, UsageError
 from graph2text.objectives import combined_pretrain_loss, loss_finetune
 from graph2text.synth import build_toy_model, overfit_corpus
+
+from conftest import assert_gradient_gate, store_gradients
 
 
 def check_scalar_fn(build, arrays, tol=1e-6, eps=1e-6):
@@ -38,11 +41,6 @@ class TestBasicOps:
         backward(loss)
         assert np.array_equal(x.grad, np.zeros(2))
 
-    def test_concat_shapes(self):
-        a = Tensor(np.ones((2, 3)))
-        b = Tensor(np.ones((2, 4)))
-        assert ag.concat([a, b], axis=1).shape == (2, 7)
-
     def test_slice_backward_scatters(self):
         store = ParamStore()
         x = store.add("x", np.arange(6.0).reshape(3, 2))
@@ -51,28 +49,45 @@ class TestBasicOps:
         assert np.array_equal(x.grad, np.array([[0, 0], [1, 1], [1, 1.0]]))
 
 
+def attention_weights(logits, blocked=None) -> Tensor:
+    """The (n, n) attention probabilities of ``multihead_attention_op`` for
+    (n, n) ``logits``: one head, identity keys, values and output, and the
+    queries scaled by sqrt(d_k) so the scores are the logits."""
+    n = logits.shape[0]
+    eye = Tensor(np.eye(n))
+    x_q = ag.scale(logits, math.sqrt(n))
+    return ag.multihead_attention_op(x_q, eye, eye, eye, eye, eye, 1, blocked)
+
+
 class TestSoftmax:
+    """The softmax inside the fused attention op."""
+
     def test_symmetric(self):
-        out = ag.softmax(Tensor(np.array([0.0, 0.0])))
-        assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
+        out = attention_weights(Tensor(np.zeros((2, 2))))
+        assert np.allclose(out.data, 0.5, atol=1e-15)
 
     def test_large_inputs_stable(self):
-        out = ag.softmax(Tensor(np.array([1000.0, 0.0])))
+        out = attention_weights(Tensor(np.array([[1000.0, 0.0], [0.0, 0.0]])))
         assert np.isfinite(out.data).all()
-        assert out.data[0] > 1 - 1e-12
+        assert out.data[0, 0] > 1 - 1e-12
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        out = ag.softmax(Tensor(rng.normal(size=(5, 7))), axis=-1)
+        blocked = rng.random((1, 7, 7)) < 0.4
+        blocked[0, np.arange(7), np.arange(7)] = False
+        out = attention_weights(Tensor(rng.normal(size=(7, 7)) * 3), blocked)
         assert out.data.min() >= 0
         assert np.abs(out.data.sum(axis=-1) - 1.0).max() < 1e-12
+        assert (out.data[blocked[0]] == 0.0).all()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        readout = rng.normal(size=4)
+        readout = rng.normal(size=(4, 4))
+        blocked = np.zeros((1, 4, 4), dtype=bool)
+        blocked[0, 0, 1] = True
         check_scalar_fn(
-            lambda s: ag.reduce_sum(ag.mul(ag.softmax(s["x"]), Tensor(readout))),
-            {"x": rng.normal(size=4)},
+            lambda s: ag.reduce_sum(ag.mul(attention_weights(s["x"], blocked), Tensor(readout))),
+            {"x": rng.normal(size=(4, 4))},
         )
 
 
@@ -111,26 +126,43 @@ class TestFixedPointExamples:
         assert abs(loss.item() - math.log(16)) < 1e-12
 
 
+def pool_input(entity_1=frozenset({3}), entity_2=frozenset({1, 2})) -> EncoderInput:
+    """Four graph tokens: entity 1 at position 3, entity 2 at positions 1
+    and 2, and the relation (2, 1) at position 4 (by default)."""
+    return EncoderInput(
+        ids=(5, 6, 7, 8),
+        graph_len=4,
+        entity_positions={1: entity_1, 2: entity_2},
+        relation_positions={(2, 1): frozenset({4})},
+    )
+
+
 class TestIndexMeanPool:
+    """Mean pooling over position sets, as a matmul with the encoder's
+    pooling matrices."""
+
     def test_single_position_exact_copy(self):
         h = Tensor(np.arange(12.0).reshape(4, 3))
-        out = ag.index_mean_pool(h, [2])
-        assert np.array_equal(out.data, h.data[2])
+        p_ent, _ = pooling_matrices(pool_input(), 4)
+        out = ag.matmul(Tensor(p_ent), h)
+        assert np.array_equal(out.data[0], h.data[2])
 
     def test_two_equal_rows(self):
-        h = Tensor(np.array([[1.0, 2.0], [1.0, 2.0], [9.0, 9.0]]))
-        out = ag.index_mean_pool(h, [0, 1])
-        assert np.array_equal(out.data, np.array([1.0, 2.0]))
+        h = Tensor(np.array([[1.0, 2.0], [1.0, 2.0], [9.0, 9.0], [5.0, 5.0]]))
+        p_ent, _ = pooling_matrices(pool_input(), 4)
+        out = ag.matmul(Tensor(p_ent), h)
+        assert np.array_equal(out.data[1], np.array([1.0, 2.0]))
 
     def test_empty_positions(self):
         with pytest.raises(EmptyPoolError):
-            ag.index_mean_pool(Tensor(np.zeros((2, 2))), [])
+            pooling_matrices(pool_input(entity_1=frozenset()), 4)
 
     def test_gradient(self):
         rng = np.random.default_rng(5)
-        w = rng.normal(size=3)
+        w = rng.normal(size=(2, 3))
+        p_ent, _ = pooling_matrices(pool_input(entity_1=frozenset({1, 3, 4})), 4)
         check_scalar_fn(
-            lambda s: ag.reduce_sum(ag.mul(ag.index_mean_pool(s["h"], [0, 2]), Tensor(w))),
+            lambda s: ag.reduce_sum(ag.mul(ag.matmul(Tensor(p_ent), s["h"]), Tensor(w))),
             {"h": rng.normal(size=(4, 3))},
         )
 
@@ -214,17 +246,25 @@ def _random_op_case(seed: int):
         "b": rng.normal(size=(d, n)),
         "bias": rng.normal(size=d),
         "gain": rng.normal(size=d) + 1.5,
+        "w1": rng.normal(size=(d, 2 * d)),
+        "b1": rng.normal(size=2 * d),
+        "w2": rng.normal(size=(2 * d, d)),
+        "b2": rng.normal(size=d),
+        "wq": rng.normal(size=(d, d)),
+        "wk": rng.normal(size=(d, d)),
+        "wv": rng.normal(size=(d, d)),
+        "wo": rng.normal(size=(d, d)),
     }
-    mask = rng.random((n, d)) < 0.3
+    blocked = rng.random((1, n, n)) < 0.3
+    blocked[0, np.arange(n), np.arange(n)] = False  # every query keeps one key
     w = rng.normal(size=(n, d))
 
     def build(s):
         x = ag.add(s["a"], s["bias"])           # row broadcast
         x = ag.layer_norm(x, s["gain"], s["bias"])
-        x = ag.gelu(x)
-        x = ag.masked_fill(x, mask, 0.5)
+        x = ag.ffn_op(x, s["w1"], s["b1"], s["w2"], s["b2"])
+        x = ag.multihead_attention_op(x, x, s["wq"], s["wk"], s["wv"], s["wo"], 1, blocked)
         y = ag.matmul(x, s["b"])                # (n, n)
-        y = ag.softmax(y, axis=-1)
         z = ag.matmul(y, ag.transpose(s["b"]))  # (n, d)
         z = ag.div(z, ag.add(ag.sqrt(ag.reduce_sum(ag.mul(z, z), axis=-1, keepdims=True)), Tensor(1.0)))
         z = ag.mul(z, Tensor(w))
@@ -355,22 +395,6 @@ def _pow_gelu(v, slope):
     return y, 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * d_inner
 
 
-def _assert_gradient_gate(grads, reference):
-    """Per parameter: worst |difference| <= 1e-12 * max |reference gradient|."""
-    # bit-equal gradients everywhere would mean the reference never ran
-    assert any(not np.array_equal(grads[name], ref) for name, ref in reference.items())
-    for name, ref in reference.items():
-        worst = np.abs(grads[name] - ref).max()
-        assert worst <= 1e-12 * np.abs(ref).max(), name
-
-
-def _store_gradients(store, build_loss):
-    store.zero_grads()
-    loss = build_loss()
-    backward(loss)
-    return {name: t.grad.copy() for name, t in store.items()}
-
-
 def _perturbed_toy(corpus, seed):
     """A toy model whose weights move by N(0, 0.3), so FFN pre-activations
     reach the range where the GELU cube matters."""
@@ -399,12 +423,14 @@ class TestGeluCube:
         assert np.array_equal(ag._gelu(x, slope=False)[0], y)
 
     def test_gelu_op_uses_helper(self):
-        x = Tensor(self.POINTS, requires_grad=True)
-        out = ag.gelu(x)
+        # identity weights and zero biases make the FFN its GELU, exactly
+        x = Tensor(self.POINTS[:, None], requires_grad=True)
+        one, zero = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
+        out = ag.ffn_op(x, one, zero, one, zero)
         backward(ag.reduce_sum(out))
         y, dy = ag._gelu(self.POINTS, slope=True)
-        assert np.array_equal(out.data, y)
-        assert np.array_equal(x.grad, dy)
+        assert np.array_equal(out.data[:, 0], y)
+        assert np.array_equal(x.grad[:, 0], dy)
 
     def test_ffn_op_matches_pow_reference(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -421,13 +447,13 @@ class TestGeluCube:
             return ag.reduce_sum(ag.mul(out, readout))
 
         outputs = []
-        grads = _store_gradients(store, build)
+        grads = store_gradients(store, build)
         monkeypatch.setattr(ag, "_gelu", _pow_gelu)
-        reference = _store_gradients(store, build)
+        reference = store_gradients(store, build)
         out, ref_out = outputs
         assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
         assert len(reference) == 5
-        _assert_gradient_gate(grads, reference)
+        assert_gradient_gate(grads, reference)
 
     def test_pretrain_bundle_matches_pow_reference(self, monkeypatch):
         corpus = overfit_corpus(5)
@@ -439,14 +465,14 @@ class TestGeluCube:
             bundles.append(combined_pretrain_loss(model, pair, random.Random(5)))
             return bundles[-1].total
 
-        grads = _store_gradients(model.store, build)
+        grads = store_gradients(model.store, build)
         monkeypatch.setattr(ag, "_gelu", _pow_gelu)
-        reference = _store_gradients(model.store, build)
+        reference = store_gradients(model.store, build)
         ours, ref = (b.components() for b in bundles)
         for name, value in ref.items():
             assert value > 0, name
             assert abs(ours[name] - value) <= 1e-12 * value, name
-        _assert_gradient_gate(grads, reference)
+        assert_gradient_gate(grads, reference)
 
     def test_finetune_loss_matches_pow_reference(self, monkeypatch):
         corpus = overfit_corpus(5)
@@ -457,9 +483,9 @@ class TestGeluCube:
             losses.append(loss_finetune(model, corpus[4]))
             return losses[-1]
 
-        grads = _store_gradients(model.store, build)
+        grads = store_gradients(model.store, build)
         monkeypatch.setattr(ag, "_gelu", _pow_gelu)
-        reference = _store_gradients(model.store, build)
+        reference = store_gradients(model.store, build)
         ours, ref = (loss.item() for loss in losses)
         assert abs(ours - ref) <= 1e-12 * ref
-        _assert_gradient_gate(grads, reference)
+        assert_gradient_gate(grads, reference)

@@ -88,6 +88,15 @@ class TestPretrain:
                      "--corpus", str(corpus_file), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("field", ["batch_size", "epochs", "checkpoint_every"])
+    def test_training_size_below_one_exits_1(self, tmp_path, corpus_file, field, capsys):
+        cfg = write_config(tmp_path / "cfg.json", **{field: 0})
+        code = main(["pretrain", "--config", str(cfg),
+                     "--corpus", str(corpus_file), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"{field} must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "log.jsonl").exists()
+
     def test_over_length_corpus_exits_1(self, tmp_path, corpus_file, capsys):
         cfg = write_config(tmp_path / "cfg.json", max_input_len=4)
         code = main(["pretrain", "--config", str(cfg),
@@ -162,6 +171,16 @@ class TestFinetuneAndGenerate:
         code = main(["generate", "--ckpt", str(tmp_path / "missing"),
                      "--input", str(corpus_file), "--out", str(tmp_path / "h")])
         assert code == 1
+
+    def test_generate_malformed_manifest_exits_1(self, tmp_path, corpus_file, config_file, capsys):
+        ckpt = self._pretrained(tmp_path, corpus_file, config_file)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        del manifest["model"]["d_ff"]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["generate", "--ckpt", str(ckpt), "--input", str(corpus_file),
+                     "--out", str(tmp_path / "h")])
+        assert code == 1
+        assert "manifest 'model' lacks 'd_ff'" in capsys.readouterr().err
 
 
 class TestFullPipeline:

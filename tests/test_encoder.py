@@ -1,25 +1,54 @@
 import numpy as np
 import pytest
 
-from graph2text.autograd import Tensor, grad_check, no_grad, reduce_sum, mul
+from graph2text import encoder
+from graph2text.autograd import (
+    Tensor,
+    add,
+    embedding_lookup,
+    grad_check,
+    matmul,
+    mul,
+    no_grad,
+    reduce_sum,
+)
 from graph2text.data import linearize
 from graph2text.encoder import (
     EncoderConfig,
     EncoderInput,
     encode,
     multi_head_attention,
-    pool_units,
-    residual_fuse,
+    pooling_matrices,
+    scatter_matrix,
     structure_aware_attention,
 )
 from graph2text.errors import EmptyPoolError, LengthError
 from graph2text.synth import build_toy_model
 
-from conftest import make_pair
+from conftest import (
+    assert_gradient_gate,
+    make_pair,
+    rows_at,
+    store_gradients,
+    three_position_pair,
+    unit_mean,
+)
 
 
 def toy_input(model, pair, text_tokens=None) -> EncoderInput:
     return model.encoder_input(linearize(pair.graph), text_tokens)
+
+
+def pooled(h: Tensor, inp: EncoderInput) -> tuple[Tensor, Tensor]:
+    """Entity vectors and relation grid as ``encode`` pools them."""
+    p_ent, p_rel = pooling_matrices(inp, h.shape[0])
+    return matmul(Tensor(p_ent), h), matmul(Tensor(p_rel), h)
+
+
+def fused(h: Tensor, z_tilde: Tensor, inp: EncoderInput) -> Tensor:
+    """The residual step of ``encode``: entity vectors added onto their
+    token positions."""
+    return add(h, matmul(Tensor(scatter_matrix(inp, h.shape[0])), z_tilde))
 
 
 @pytest.fixture
@@ -104,14 +133,14 @@ class TestPooling:
         model, inp = model_and_input
         rng = np.random.default_rng(3)
         h = Tensor(rng.normal(size=(len(inp.ids), 16)))
-        z, _ = pool_units(h, inp)
+        z, _ = pooled(h, inp)
         # entity 1 ("ada") occupies exactly position 2
         assert np.array_equal(z.data[0], h.data[1])
 
     def test_absent_relation_is_zero_vector(self, model_and_input):
         model, inp = model_and_input
         h = Tensor(np.random.default_rng(4).normal(size=(len(inp.ids), 16)))
-        _, q = pool_units(h, inp)
+        _, q = pooled(h, inp)
         nv = inp.num_entities
         grid = q.data.reshape(nv, nv, 16)
         assert np.array_equal(grid[0, 0], np.zeros(16))  # no (1,1) self-loop
@@ -120,7 +149,7 @@ class TestPooling:
     def test_union_pooling_is_mean(self, model_and_input):
         model, inp = model_and_input
         h = Tensor(np.random.default_rng(5).normal(size=(len(inp.ids), 16)))
-        z, _ = pool_units(h, inp)
+        z, _ = pooled(h, inp)
         positions = sorted(inp.entity_positions[2])  # "bo" at two positions
         expected = h.data[[p - 1 for p in positions]].mean(axis=0)
         assert np.allclose(z.data[1], expected, atol=1e-15)
@@ -133,9 +162,8 @@ class TestPooling:
         object.__setattr__(bad, "entity_positions", {1: frozenset(), **{k: v for k, v in inp.entity_positions.items() if k != 1}})
         object.__setattr__(bad, "relation_positions", inp.relation_positions)
         object.__setattr__(bad, "padding", None)
-        h = Tensor(np.zeros((len(inp.ids), 16)))
         with pytest.raises(EmptyPoolError):
-            pool_units(h, bad)
+            pooling_matrices(bad, len(inp.ids))
 
 
 class TestStructureAttention:
@@ -154,7 +182,7 @@ class TestStructureAttention:
         model.store["enc.0.agg.wvr"].data[:] = 0.0
         rng = np.random.default_rng(7)
         h = Tensor(rng.normal(size=(len(inp.ids), 16)))
-        z, q = pool_units(h, inp)
+        z, q = pooled(h, inp)
         out = structure_aware_attention(z, q, model.store, "enc.0.agg", 2)
         assert np.array_equal(out.data, np.zeros((3, 16)))
 
@@ -175,7 +203,7 @@ class TestStructureAttention:
                 return store[key.split(".")[-1]]
 
         def f():
-            z, q = pool_units(h, inp)
+            z, q = pooled(h, inp)
             out = structure_aware_attention(z, q, Shim(), "agg", 2)
             return reduce_sum(mul(out, Tensor(readout)))
 
@@ -189,7 +217,7 @@ class TestResidualFuse:
         rng = np.random.default_rng(9)
         h = Tensor(rng.normal(size=(len(inp.ids), 16)))
         z_tilde = Tensor(rng.normal(size=(3, 16)))
-        out = residual_fuse(h, z_tilde, inp)
+        out = fused(h, z_tilde, inp)
         entity_rows = {p - 1 for s in inp.entity_positions.values() for p in s}
         for row in range(len(inp.ids)):
             if row not in entity_rows:
@@ -200,14 +228,14 @@ class TestResidualFuse:
     def test_zero_struct_vectors_identity(self, model_and_input):
         model, inp = model_and_input
         h = Tensor(np.random.default_rng(10).normal(size=(len(inp.ids), 16)))
-        out = residual_fuse(h, Tensor(np.zeros((3, 16))), inp)
+        out = fused(h, Tensor(np.zeros((3, 16))), inp)
         assert np.array_equal(out.data, h.data)
 
     def test_multi_position_entity_gets_same_vector(self, model_and_input):
         model, inp = model_and_input
         h = Tensor(np.zeros((len(inp.ids), 16)))
         z_tilde = Tensor(np.random.default_rng(11).normal(size=(3, 16)))
-        out = residual_fuse(h, z_tilde, inp)
+        out = fused(h, z_tilde, inp)
         rows = sorted(p - 1 for p in inp.entity_positions[2])
         assert np.array_equal(out.data[rows[0]], z_tilde.data[1])
         assert np.array_equal(out.data[rows[1]], z_tilde.data[1])
@@ -261,6 +289,47 @@ class TestEncode:
         report = grad_check(f, model.store, tol=1e-4)
         assert report.passed, report.worst()
 
+    def test_rel_variant_matches_per_unit_reference(self, monkeypatch):
+        # the "rel" unit vectors come from one matmul per table with the
+        # pooling matrices; the reference pools the table rows one unit at a
+        # time and feeds them to every layer's structure attention
+        pair = three_position_pair()
+        model, _ = build_toy_model(corpus=[pair], variant="rel", max_input_len=64)
+        inp = toy_input(model, pair, pair.text)
+        assert max(len(p) for p in inp.entity_positions.values()) >= 3
+        store, nv = model.store, inp.num_entities
+        readout = Tensor(np.random.default_rng(15).normal(size=(len(inp.ids), 16)))
+
+        def reference_units():
+            ent_rows = embedding_lookup(store["struct.ent_emb"], np.asarray(inp.ids))
+            rel_rows = embedding_lookup(store["struct.rel_emb"], np.asarray(inp.ids))
+            z = rows_at({i - 1: unit_mean(ent_rows, p)
+                         for i, p in inp.entity_positions.items()}, nv)
+            q_grid = rows_at({(i - 1) * nv + j - 1: unit_mean(rel_rows, p)
+                              for (i, j), p in inp.relation_positions.items()}, nv * nv)
+            return z, q_grid
+
+        outputs = []
+
+        def build():
+            outputs.append(encode(inp, model.encoder_config, store))
+            return reduce_sum(mul(outputs[-1], readout))
+
+        grads = store_gradients(store, build)
+        units = []
+        original = encoder.structure_aware_attention
+        monkeypatch.setattr(encoder, "structure_aware_attention",
+                            lambda z, q_grid, *rest: original(*units[-1], *rest))
+
+        def build_reference():
+            units.append(reference_units())
+            return build()
+
+        reference = store_gradients(store, build_reference)
+        out, ref_out = (o.data for o in outputs)
+        assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
+        assert_gradient_gate(grads, reference)
+
     def test_unit_relabeling_permutes_pooled_rows_and_keeps_text_rows(self):
         # same tokens, same positions, but the entity indexing is permuted
         # (relations relabeled consistently); pooled rows must permute and
@@ -282,8 +351,8 @@ class TestEncode:
         with no_grad():
             h_base = encode(base, model.encoder_config, model.store)
             h_relabeled = encode(relabeled, model.encoder_config, model.store)
-            z_base, _ = pool_units(h_base, base)
-            z_relab, _ = pool_units(h_base, relabeled)
+            z_base, _ = pooled(h_base, base)
+            z_relab, _ = pooled(h_base, relabeled)
         for i in range(1, 4):
             assert np.array_equal(z_base.data[i - 1], z_relab.data[perm[i] - 1])
         text_rows = range(base.graph_len + 1, len(base.ids))

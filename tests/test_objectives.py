@@ -5,7 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from graph2text import objectives
 from graph2text.autograd import Tensor, backward, cosine_cost, grad_check, no_grad
+from graph2text.data import linearize, unit_sequence
+from graph2text.decoder import teacher_forced_states
 from graph2text.errors import MarginalError, NumericError
 from graph2text.objectives import (
     LossBundle,
@@ -19,7 +22,15 @@ from graph2text.objectives import (
     loss_text_reconstruction,
     uniform_marginals,
 )
-from graph2text.synth import build_toy_model
+from graph2text.synth import build_toy_model, overfit_corpus
+
+from conftest import (
+    assert_gradient_gate,
+    rows_at,
+    store_gradients,
+    three_position_pair,
+    unit_mean,
+)
 
 
 def exact_uniform_square_ot(C: np.ndarray) -> float:
@@ -208,6 +219,68 @@ class TestOTAlignment:
             model.store, tol=1e-4,
         )
         assert report.passed, report.worst()
+
+
+def reference_alignment_embeddings(model, pair):
+    """``alignment_embeddings`` with its graph vectors pooled one unit at a
+    time, in ``unit_sequence`` order."""
+    lin = linearize(pair.graph)
+    inp = model.encoder_input(lin)
+    enc_states = model.encode(inp)
+    units = unit_sequence(pair.graph)
+    rows = {
+        k: unit_mean(enc_states, lin.entity_positions[key] if kind == "entity"
+                     else lin.relation_positions[key])
+        for k, (kind, key) in enumerate(units)
+    }
+    targets = model.target_ids(pair.text)
+    dec_states = teacher_forced_states(
+        targets, enc_states, model.store, model.decoder_config, inp.padding
+    )
+    return rows_at(rows, len(units)), dec_states[0 : pair.n]
+
+
+class TestPooledAlignment:
+    """The graph atoms come from one matmul with the pooling matrices; they
+    must equal per-unit means within rounding (losses within 1e-12 relative,
+    gradients within 1e-12 of their largest entry, at as-initialized weights)."""
+
+    def test_graph_vectors_match_per_unit_means(self):
+        for variant in ("joint", "rel"):
+            for pair in [three_position_pair()] + overfit_corpus(20):
+                model, _ = build_toy_model(corpus=[pair], variant=variant,
+                                           max_input_len=64, max_output_len=32)
+                with no_grad():
+                    graph_vectors, text_vectors = alignment_embeddings(model, pair)
+                    ref_graph, ref_text = reference_alignment_embeddings(model, pair)
+                assert np.array_equal(text_vectors.data, ref_text.data)
+                worst = np.abs(graph_vectors.data - ref_graph.data).max()
+                assert worst <= 1e-12 * np.abs(ref_graph.data).max()
+                lin = linearize(pair.graph)
+                for k, (kind, key) in enumerate(unit_sequence(pair.graph)):
+                    positions = (lin.entity_positions[key] if kind == "entity"
+                                 else lin.relation_positions[key])
+                    if len(positions) == 1:
+                        assert np.array_equal(graph_vectors.data[k], ref_graph.data[k])
+
+    @pytest.mark.parametrize("variant", ["joint", "rel"])
+    def test_ot_loss_and_gradients_match_per_unit_reference(self, variant, monkeypatch):
+        pair = three_position_pair()
+        model, _ = build_toy_model(corpus=[pair], variant=variant,
+                                   max_input_len=64, max_output_len=32)
+        assert max(len(p) for p in linearize(pair.graph).entity_positions.values()) >= 3
+        losses = []
+
+        def build():
+            losses.append(loss_ot_alignment(model, pair))
+            return losses[-1]
+
+        grads = store_gradients(model.store, build)
+        monkeypatch.setattr(objectives, "alignment_embeddings", reference_alignment_embeddings)
+        reference = store_gradients(model.store, build)
+        ours, ref = (loss.item() for loss in losses)
+        assert abs(ours - ref) <= 1e-12 * ref
+        assert_gradient_gate(grads, reference)
 
 
 class TestCombinedLoss:

@@ -22,6 +22,14 @@ from graph2text.training import (
 )
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["batch_size", "epochs", "checkpoint_every"])
+    def test_size_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, got 0$"):
+            TrainConfig(**{field: 0})
+        TrainConfig(**{field: 1})
+
+
 class TestLrSchedule:
     def setup_method(self):
         self.cfg = TrainConfig(learning_rate=1e-3, warmup_ratio=0.1)
@@ -243,6 +251,24 @@ class TestCheckpoint:
         manifest["params"][0]["shape"] = [2, 2]
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["model"].pop("d_ff"), "manifest 'model' lacks 'd_ff'"),
+        (lambda m: m["params"][0].pop("name"), "lacks a name or a shape"),
+        (lambda m: m["params"][0].pop("shape"), "lacks a name or a shape"),
+        (lambda m: m.update(params=5), "manifest 'params' is not a list"),
+        (lambda m: m.update(model=5), "manifest 'model' is not an object"),
+        (lambda m: m["params"][0].update(shape=5), "is not a list of sizes"),
+    ], ids=["model-lacks-key", "entry-lacks-name", "entry-lacks-shape", "params-not-list",
+            "model-not-object", "shape-not-list"])
+    def test_malformed_manifest_rejected(self, tmp_path, edit, message):
+        model, _ = self._trained_model()
+        path = save_checkpoint(model, tmp_path / "ckpt")
+        manifest = json.loads((path / "manifest.json").read_text())
+        edit(manifest)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
     def test_missing_manifest_rejected(self, tmp_path):
