@@ -64,45 +64,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return slice_view(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    @property
-    def T(self):
-        return transpose(self, None)
-
-    def backward(self):
-        backward(self)
 
 
 def _make(data, parents, backward_fn):
@@ -138,12 +104,6 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
     return _make(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
@@ -200,23 +160,10 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), backward_fn)
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a) -> Tensor:
+    """Reverse the axes; backward reverses them back."""
     a = as_tensor(a)
-    data = np.transpose(a.data, axes)
-    if axes is None:
-        inverse = None
-    else:
-        inverse = [0] * len(axes)
-        for position, axis in enumerate(axes):
-            inverse[axis] = position
-    return _make(data, (a,), lambda g: (np.transpose(g, inverse),))
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    original = a.data.shape
-    data = a.data.reshape(shape)
-    return _make(data, (a,), lambda g: (g.reshape(original),))
+    return _make(np.transpose(a.data), (a,), lambda g: (np.transpose(g),))
 
 
 def slice_view(a, key) -> Tensor:

@@ -16,8 +16,7 @@ from pathlib import Path
 
 from .autograd import grad_check
 from .data import linearize, load_corpus, unit_sequence
-from .decoder import BeamConfig, DecoderConfig
-from .encoder import EncoderConfig
+from .decoder import BeamConfig
 from .errors import (
     CheckpointError,
     CorpusParseError,
@@ -27,7 +26,7 @@ from .errors import (
     LengthError,
 )
 from .metrics import evaluate_corpus
-from .model import build_model
+from .model import ModelSettings, build_model
 from .objectives import (
     OTConfig,
     ipot,
@@ -39,7 +38,7 @@ from .objectives import (
     uniform_marginals,
 )
 from .autograd import cosine_cost, no_grad
-from .synth import build_toy_model
+from .synth import gradcheck_pair, toy_configs
 from .training import (
     TrainConfig,
     init_model_from_checkpoint,
@@ -63,17 +62,9 @@ _USER_ERRORS = (
 
 
 @dataclass
-class RunConfig:
+class RunConfig(ModelSettings):
     """Flat union of model, optimizer, solver, and decoding settings."""
 
-    d_model: int = 64
-    num_heads: int = 4
-    encoder_layers: int = 2
-    decoder_layers: int = 2
-    d_ff: int = 128
-    max_input_len: int = 600
-    max_output_len: int = 64
-    variant: str = "joint"
     learning_rate: float = 3e-5
     warmup_ratio: float = 0.1
     max_grad_norm: float = 1.0
@@ -101,25 +92,15 @@ class RunConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValueError(f"config {path} is not a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"config {path} has unknown keys: {sorted(unknown)}")
-        if "weights" in raw:
-            raw["weights"] = tuple(float(w) for w in raw["weights"])
+        if isinstance(raw.get("weights"), list):
+            raw["weights"] = tuple(float(w) if type(w) is int else w for w in raw["weights"])
         return cls(**raw)
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            num_layers=self.encoder_layers, num_heads=self.num_heads, d_model=self.d_model,
-            d_ff=self.d_ff, max_input_len=self.max_input_len, variant=self.variant,
-        )
-
-    def decoder_config(self) -> DecoderConfig:
-        return DecoderConfig(
-            num_layers=self.decoder_layers, num_heads=self.num_heads, d_model=self.d_model,
-            d_ff=self.d_ff, max_output_len=self.max_output_len,
-        )
 
     def train_config(self, task: str) -> TrainConfig:
         return TrainConfig(
@@ -178,7 +159,7 @@ def cmd_pretrain(args) -> int:
         raise EmptyCorpus(f"corpus {args.corpus} holds no pairs")
     _validate_lengths(cfg, corpus)
     vocab = build_vocab(corpus, min_freq=cfg.min_freq)
-    model = build_model(vocab, cfg.encoder_config(), cfg.decoder_config(), seed=cfg.seed)
+    model = build_model(vocab, *cfg.configs(), seed=cfg.seed)
     out_dir = Path(args.out)
     _write_resolved_config(cfg, out_dir)
     train(corpus, model, cfg.train_config("pretrain"), out_dir)
@@ -194,9 +175,7 @@ def cmd_finetune(args) -> int:
         raise EmptyCorpus(f"corpus {args.corpus} holds no pairs")
     _validate_lengths(cfg, corpus)
     init_model = load_checkpoint(args.init)
-    model = build_model(
-        init_model.vocab, cfg.encoder_config(), cfg.decoder_config(), seed=cfg.seed
-    )
+    model = build_model(init_model.vocab, *cfg.configs(), seed=cfg.seed)
     init_model_from_checkpoint(model, args.init)
     out_dir = Path(args.out)
     _write_resolved_config(cfg, out_dir)
@@ -245,15 +224,12 @@ def _masking_rng_with_coverage(model, pair, seed: int = 0) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = RunConfig.from_file(args.config)
-    overrides = {}
-    if args.config is not None:
-        overrides = dict(
-            d_model=cfg.d_model, num_heads=cfg.num_heads, num_layers=cfg.encoder_layers,
-            d_ff=cfg.d_ff, max_input_len=cfg.max_input_len, max_output_len=cfg.max_output_len,
-        )
-    model, corpus = build_toy_model(variant=cfg.variant, seed=args.seed or 0, **overrides)
-    pair = corpus[0]
+    if args.config is None:  # the toy model's sizes, not RunConfig's defaults
+        configs = toy_configs()
+    else:
+        configs = RunConfig.from_file(args.config).configs()
+    pair = gradcheck_pair()
+    model = build_model(build_vocab([pair], min_freq=1), *configs, seed=args.seed or 0)
     with no_grad():
         graph_seed = _masking_rng_with_coverage(model, pair)
         graph_vecs, text_vecs = alignment_embeddings(model, pair)

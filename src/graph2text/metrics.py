@@ -26,17 +26,20 @@ class EvalReport:
         return {"bleu": self.bleu, "rouge_l": self.rouge_l, "per_example": self.per_example}
 
 
-def _normalize_references(references, expected_len: int):
-    """Accept list[tokens] or list[list[tokens]]; return list[list[tokens]]."""
-    if len(references) != expected_len:
-        raise EvalError(f"{expected_len} hypotheses but {len(references)} references")
-    normalized = []
-    for ref in references:
-        if ref and isinstance(ref[0], (list, tuple)):
-            normalized.append([list(r) for r in ref])
-        else:
-            normalized.append([list(ref)])
-    return normalized
+def _normalize_reference(reference) -> list[list]:
+    """Accept tokens or list[tokens]; return list[tokens]."""
+    if reference and isinstance(reference[0], (list, tuple)):
+        return [list(r) for r in reference]
+    return [list(reference)]
+
+
+def _normalize_references(hypotheses, references) -> list[list[list]]:
+    """One normalized reference list per hypothesis of a non-empty corpus."""
+    if len(references) != len(hypotheses):
+        raise EvalError(f"{len(hypotheses)} hypotheses but {len(references)} references")
+    if not hypotheses:
+        raise EvalError("cannot score an empty corpus")
+    return [_normalize_reference(ref) for ref in references]
 
 
 def _ngrams(tokens, n: int) -> Counter:
@@ -69,9 +72,10 @@ def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
     hypothesis shorter than n) are left out of the mean, so identical short
     corpora still score 100.
     """
-    refs = _normalize_references(references, len(hypotheses))
-    if not hypotheses:
-        raise EvalError("cannot score an empty corpus")
+    return _bleu(hypotheses, _normalize_references(hypotheses, references), max_n)
+
+
+def _bleu(hypotheses, refs, max_n: int) -> float:
     clipped = [0] * max_n
     totals = [0] * max_n
     hyp_len = 0
@@ -115,11 +119,10 @@ def lcs_length(a, b) -> int:
 def rouge_l(hypothesis, reference) -> float:
     """Sentence-level ROUGE-L F1 (beta = 1) on a 0-100 scale; with several
     references the best one counts."""
-    if reference and isinstance(reference[0], (list, tuple)):
-        ref_list = [list(r) for r in reference]
-    else:
-        ref_list = [list(reference)]
-    hypothesis = list(hypothesis)
+    return _rouge_l(list(hypothesis), _normalize_reference(reference))
+
+
+def _rouge_l(hypothesis: list, ref_list: list[list]) -> float:
     if not hypothesis or any(not r for r in ref_list):
         raise EvalError("ROUGE-L needs non-empty token sequences")
     best = 0.0
@@ -134,19 +137,16 @@ def rouge_l(hypothesis, reference) -> float:
 
 
 def corpus_rouge_l(hypotheses, references) -> float:
-    refs = _normalize_references(references, len(hypotheses))
-    if not hypotheses:
-        raise EvalError("cannot score an empty corpus")
-    return sum(rouge_l(h, r) for h, r in zip(hypotheses, refs)) / len(hypotheses)
+    refs = _normalize_references(hypotheses, references)
+    return sum(_rouge_l(list(h), r) for h, r in zip(hypotheses, refs)) / len(hypotheses)
 
 
 def evaluate_corpus(hypotheses, references) -> EvalReport:
-    refs = _normalize_references(references, len(hypotheses))
-    per_example = [
-        {"index": i, "rouge_l": rouge_l(h, r)} for i, (h, r) in enumerate(zip(hypotheses, refs))
-    ]
+    """BLEU, mean ROUGE-L and per-example ROUGE-L; each sentence is scored once."""
+    refs = _normalize_references(hypotheses, references)
+    scores = [_rouge_l(list(h), r) for h, r in zip(hypotheses, refs)]
     return EvalReport(
-        bleu=corpus_bleu(hypotheses, refs),
-        rouge_l=corpus_rouge_l(hypotheses, refs),
-        per_example=per_example,
+        bleu=_bleu(hypotheses, refs, max_n=4),
+        rouge_l=sum(scores) / len(hypotheses),
+        per_example=[{"index": i, "rouge_l": score} for i, score in enumerate(scores)],
     )

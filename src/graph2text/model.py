@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,8 +10,70 @@ import numpy as np
 from .autograd import ParamStore, Tensor, no_grad
 from .data import GraphTextPair, LinearizedGraph, linearize
 from .decoder import BeamConfig, DecoderConfig, decode_train, generate, init_decoder_params
-from .encoder import EncoderConfig, EncoderInput, encode, init_encoder_params
+from .encoder import VARIANT_JOINT, EncoderConfig, EncoderInput, encode, init_encoder_params
 from .vocab import EOS_ID, SEP_ID, Vocabulary
+
+
+def _has_type_of(value, default) -> bool:
+    """True when ``value`` has the type of ``default``: a float accepts an
+    int, a bool is never a number, and a tuple matches element by element."""
+    if isinstance(default, tuple):
+        return (
+            isinstance(value, tuple)
+            and len(value) == len(default)
+            and all(_has_type_of(v, d) for v, d in zip(value, default))
+        )
+    if type(default) is float:
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+@dataclass
+class ModelSettings:
+    """The eight flat settings that define the encoder-decoder.
+
+    Run configs and checkpoint manifests store these keys; ``configs`` and
+    ``of`` translate between them and the encoder/decoder configs. Every
+    field (a subclass's too) must have its default's type, or construction
+    raises ``ValueError`` naming the field.
+    """
+
+    variant: str = VARIANT_JOINT
+    d_model: int = 64
+    encoder_layers: int = 2
+    decoder_layers: int = 2
+    num_heads: int = 4
+    d_ff: int = 128
+    max_input_len: int = 600
+    max_output_len: int = 64
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _has_type_of(value, f.default):
+                raise ValueError(
+                    f"{f.name} must have the type of its default {f.default!r}, got {value!r}"
+                )
+
+    def configs(self) -> tuple[EncoderConfig, DecoderConfig]:
+        enc = EncoderConfig(
+            num_layers=self.encoder_layers, num_heads=self.num_heads, d_model=self.d_model,
+            d_ff=self.d_ff, max_input_len=self.max_input_len, variant=self.variant,
+        )
+        dec = DecoderConfig(
+            num_layers=self.decoder_layers, num_heads=self.num_heads, d_model=self.d_model,
+            d_ff=self.d_ff, max_output_len=self.max_output_len,
+        )
+        return enc, dec
+
+    @classmethod
+    def of(cls, model: Seq2SeqModel) -> ModelSettings:
+        enc, dec = model.encoder_config, model.decoder_config
+        return cls(
+            variant=enc.variant, d_model=enc.d_model, encoder_layers=enc.num_layers,
+            decoder_layers=dec.num_layers, num_heads=enc.num_heads, d_ff=enc.d_ff,
+            max_input_len=enc.max_input_len, max_output_len=dec.max_output_len,
+        )
 
 
 @dataclass

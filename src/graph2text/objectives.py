@@ -109,12 +109,11 @@ def ipot(C: np.ndarray, a: np.ndarray, b: np.ndarray, cfg: OTConfig = OTConfig()
 
 @dataclass
 class LossBundle:
-    """The three pre-training losses with their weights and weighted total."""
+    """The three pre-training losses and their weighted total."""
 
     l_text: Tensor
     l_graph: Tensor
     l_ot: Tensor
-    weights: tuple[float, float, float]
     total: Tensor
 
     def __post_init__(self):
@@ -264,4 +263,4 @@ def combined_pretrain_loss(
     for weight, loss in ((w_text, l_text), (w_graph, l_graph), (w_ot, l_ot)):
         if weight > 0:
             total = add(total, scale(loss, weight))
-    return LossBundle(l_text, l_graph, l_ot, tuple(weights), total)
+    return LossBundle(l_text, l_graph, l_ot, total)

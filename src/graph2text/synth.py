@@ -5,7 +5,7 @@ from __future__ import annotations
 from .data import GraphTextPair, KnowledgeGraph, find_entity_mentions
 from .decoder import DecoderConfig
 from .encoder import EncoderConfig
-from .model import Seq2SeqModel, build_model
+from .model import ModelSettings, Seq2SeqModel, build_model
 from .vocab import build_vocab
 
 _NAMES = ("ada", "bo", "cy", "dex", "eli", "fay", "gus", "ivy", "jo", "kim", "lee", "max")
@@ -61,15 +61,10 @@ def toy_configs(
     max_input_len: int = 22,
     max_output_len: int = 10,
 ) -> tuple[EncoderConfig, DecoderConfig]:
-    enc = EncoderConfig(
-        num_layers=num_layers, num_heads=num_heads, d_model=d_model, d_ff=d_ff,
-        max_input_len=max_input_len, variant=variant,
-    )
-    dec = DecoderConfig(
-        num_layers=num_layers, num_heads=num_heads, d_model=d_model, d_ff=d_ff,
-        max_output_len=max_output_len,
-    )
-    return enc, dec
+    """Configs for a toy model with ``num_layers`` encoder and decoder layers."""
+    return ModelSettings(
+        variant, d_model, num_layers, num_layers, num_heads, d_ff, max_input_len, max_output_len
+    ).configs()
 
 
 def build_toy_model(

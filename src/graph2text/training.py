@@ -3,6 +3,7 @@ shuffling, JSONL step logs, and bitwise checkpoint round-trips."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -12,10 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import ParamStore, backward
-from .decoder import DecoderConfig
-from .encoder import EncoderConfig
 from .errors import CheckpointError, EmptyCorpus, NumericError, UsageError
-from .model import Seq2SeqModel, build_model
+from .model import ModelSettings, Seq2SeqModel, build_model
 from .objectives import OTConfig, combined_pretrain_loss, loss_finetune
 from .vocab import Vocabulary
 
@@ -210,18 +209,7 @@ def train(
 # checkpointing
 
 def model_config_dict(model: Seq2SeqModel) -> dict:
-    enc, dec = model.encoder_config, model.decoder_config
-    return {
-        "variant": enc.variant,
-        "d_model": enc.d_model,
-        "encoder_layers": enc.num_layers,
-        "decoder_layers": dec.num_layers,
-        "num_heads": enc.num_heads,
-        "d_ff": enc.d_ff,
-        "max_input_len": enc.max_input_len,
-        "max_output_len": dec.max_output_len,
-        "vocab_size": len(model.vocab),
-    }
+    return dict(dataclasses.asdict(ModelSettings.of(model)), vocab_size=len(model.vocab))
 
 
 def save_checkpoint(model: Seq2SeqModel, path: str | Path) -> Path:
@@ -261,6 +249,8 @@ def _read_manifest(path: Path) -> dict:
             raise CheckpointError(f"manifest lacks '{key}'")
     if not isinstance(manifest["model"], dict):
         raise CheckpointError("manifest 'model' is not an object")
+    if not isinstance(manifest["vocab_file"], str):
+        raise CheckpointError("manifest 'vocab_file' is not a string")
     if not isinstance(manifest["params"], list):
         raise CheckpointError("manifest 'params' is not a list")
     return manifest
@@ -318,16 +308,13 @@ def load_checkpoint(path: str | Path) -> Seq2SeqModel:
             f"vocabulary size {len(vocab)} disagrees with manifest {mc.get('vocab_size')}"
         )
     try:
-        enc_cfg = EncoderConfig(
-            num_layers=mc["encoder_layers"], num_heads=mc["num_heads"], d_model=mc["d_model"],
-            d_ff=mc["d_ff"], max_input_len=mc["max_input_len"], variant=mc["variant"],
-        )
-        dec_cfg = DecoderConfig(
-            num_layers=mc["decoder_layers"], num_heads=mc["num_heads"], d_model=mc["d_model"],
-            d_ff=mc["d_ff"], max_output_len=mc["max_output_len"],
-        )
+        enc_cfg, dec_cfg = ModelSettings(
+            **{f.name: mc[f.name] for f in dataclasses.fields(ModelSettings)}
+        ).configs()
     except KeyError as exc:
         raise CheckpointError(f"manifest 'model' lacks {exc}") from exc
+    except ValueError as exc:
+        raise CheckpointError(f"manifest 'model': {exc}") from exc
     model = build_model(vocab, enc_cfg, dec_cfg, seed=0)
     arrays = _read_params(path, manifest)
     if set(arrays) != set(model.store.names()):

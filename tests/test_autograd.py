@@ -268,7 +268,8 @@ def _random_op_case(seed: int):
         z = ag.matmul(y, ag.transpose(s["b"]))  # (n, d)
         z = ag.div(z, ag.add(ag.sqrt(ag.reduce_sum(ag.mul(z, z), axis=-1, keepdims=True)), Tensor(1.0)))
         z = ag.mul(z, Tensor(w))
-        return ag.reduce_sum(ag.log_softmax(ag.reshape(z, (n * d,)), axis=-1))
+        # normalizing columns, then rows, couples every entry of z
+        return ag.reduce_sum(ag.log_softmax(ag.log_softmax(z, axis=0), axis=-1))
 
     return build, arrays
 

@@ -3,7 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from graph2text.cli import main
+from graph2text import cli
+from graph2text.autograd import GradCheckReport
+from graph2text.cli import RunConfig, main
+from graph2text.model import ModelSettings, build_model
+from graph2text.synth import gradcheck_pair
+from graph2text.vocab import build_vocab
 
 TINY_CONFIG = {
     "d_model": 16,
@@ -88,6 +93,14 @@ class TestPretrain:
                      "--corpus", str(corpus_file), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_config_not_an_object_exits_1(self, tmp_path, corpus_file, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("5")
+        code = main(["pretrain", "--config", str(cfg),
+                     "--corpus", str(corpus_file), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "is not a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["batch_size", "epochs", "checkpoint_every"])
     def test_training_size_below_one_exits_1(self, tmp_path, corpus_file, field, capsys):
         cfg = write_config(tmp_path / "cfg.json", **{field: 0})
@@ -96,6 +109,27 @@ class TestPretrain:
         assert code == 1
         assert f"{field} must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "o" / "log.jsonl").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("d_model", "16"), ("num_heads", 2.0), ("epochs", "2"), ("learning_rate", "0.1"),
+        ("weights", 5), ("seed", True),
+    ])
+    def test_wrong_typed_value_exits_1(self, tmp_path, corpus_file, key, value, capsys):
+        cfg = write_config(tmp_path / "cfg.json", **{key: value})
+        code = main(["pretrain", "--config", str(cfg),
+                     "--corpus", str(corpus_file), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"error: {key} must have the type of its default" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_int_accepted_for_float_and_kept_in_resolved_config(self, tmp_path, corpus_file):
+        cfg = write_config(tmp_path / "cfg.json", learning_rate=1, weights=[1, 0, 2])
+        out = tmp_path / "run"
+        assert main(["pretrain", "--config", str(cfg),
+                     "--corpus", str(corpus_file), "--out", str(out)]) == 0
+        resolved = json.loads((out / "config.resolved.json").read_text())
+        assert resolved["learning_rate"] == 1 and type(resolved["learning_rate"]) is int
+        assert resolved["weights"] == [1.0, 0.0, 2.0]
 
     def test_over_length_corpus_exits_1(self, tmp_path, corpus_file, capsys):
         cfg = write_config(tmp_path / "cfg.json", max_input_len=4)
@@ -114,6 +148,28 @@ class TestPretrain:
         for artifact in ("log.jsonl", "config.resolved.json", "checkpoints/epoch-2/params.bin",
                          "checkpoints/epoch-2/manifest.json"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+
+
+class TestRunConfig:
+    def test_keys_and_defaults(self):
+        assert RunConfig().as_dict() == {
+            "variant": "joint", "d_model": 64, "encoder_layers": 2, "decoder_layers": 2,
+            "num_heads": 4, "d_ff": 128, "max_input_len": 600, "max_output_len": 64,
+            "learning_rate": 3e-5, "warmup_ratio": 0.1, "max_grad_norm": 1.0,
+            "adam_eps": 1e-8, "adam_beta1": 0.9, "adam_beta2": 0.999, "batch_size": 8,
+            "epochs": 1, "seed": 13, "min_freq": 1, "weights": [1.0, 1.0, 1.0],
+            "ot_beta": 1.0, "ot_inner_k": 1, "ot_outer_n": 10, "beam_size": 5,
+            "length_penalty": 1.0, "checkpoint_every": 1,
+        }
+
+    def test_model_settings_round_trip(self):
+        settings = ModelSettings(variant="rel", d_model=16, encoder_layers=1, decoder_layers=3,
+                                 num_heads=2, d_ff=8, max_input_len=40, max_output_len=12)
+        enc, dec = settings.configs()
+        assert (enc.num_layers, dec.num_layers, enc.variant) == (1, 3, "rel")
+        assert (enc.max_input_len, dec.max_output_len) == (40, 12)
+        model = build_model(build_vocab([gradcheck_pair()]), enc, dec)
+        assert ModelSettings.of(model) == settings
 
 
 class TestFinetuneAndGenerate:
@@ -240,6 +296,24 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("[ok]") == 4
+
+    def test_config_sets_both_depths(self, tmp_path, monkeypatch):
+        stores = []
+
+        def spy(f, store, tol):
+            stores.append(sorted(store.names()))
+            return GradCheckReport({}, tol)
+
+        monkeypatch.setattr(cli, "grad_check", spy)
+        cfg = write_config(tmp_path / "small.json", d_model=8, encoder_layers=1,
+                           decoder_layers=2, d_ff=8, max_input_len=22, max_output_len=10)
+        assert main(["gradcheck", "--config", str(cfg)]) == 0
+        assert len(stores) == 4
+        for names in stores:
+            assert any(n.startswith("dec.1.") for n in names)
+            assert not any(n.startswith("dec.2.") for n in names)
+            assert any(n.startswith("enc.0.") for n in names)
+            assert not any(n.startswith("enc.1.") for n in names)
 
     def test_impossible_tolerance_fails_with_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "small.json", d_model=8, encoder_layers=1,

@@ -129,3 +129,27 @@ class TestReport:
         assert report.rouge_l == pytest.approx(100.0)
         assert len(report.per_example) == 2
         assert set(report.as_dict()) == {"bleu", "rouge_l", "per_example"}
+
+    def test_scores_equal_the_corpus_functions_bitwise(self):
+        rng = random.Random(3)
+        alphabet = "abcdefg"
+        hyps = [[rng.choice(alphabet) for _ in range(rng.randint(1, 9))] for _ in range(7)]
+        refs = [
+            [[rng.choice(alphabet) for _ in range(rng.randint(1, 9))] for _ in range(k % 3 + 1)]
+            for k in range(7)
+        ]
+        refs[0] = refs[0][0]  # a single reference given as bare tokens
+        report = evaluate_corpus(hyps, refs)
+        assert report.rouge_l == corpus_rouge_l(hyps, refs)
+        assert report.bleu == corpus_bleu(hyps, refs)
+        assert [e["rouge_l"] for e in report.per_example] == [
+            rouge_l(h, r) for h, r in zip(hyps, refs)
+        ]
+        assert [e["index"] for e in report.per_example] == list(range(7))
+
+    @pytest.mark.parametrize("score", [evaluate_corpus, corpus_bleu, corpus_rouge_l])
+    def test_empty_corpus_and_length_mismatch_rejected(self, score):
+        with pytest.raises(EvalError, match="cannot score an empty corpus"):
+            score([], [])
+        with pytest.raises(EvalError, match="2 hypotheses but 1 references"):
+            score([["a"], ["b"]], [["a"]])

@@ -260,8 +260,14 @@ class TestCheckpoint:
         (lambda m: m.update(params=5), "manifest 'params' is not a list"),
         (lambda m: m.update(model=5), "manifest 'model' is not an object"),
         (lambda m: m["params"][0].update(shape=5), "is not a list of sizes"),
+        (lambda m: m["model"].update(d_model="16"),
+         "manifest 'model': d_model must have the type of its default 64, got '16'"),
+        (lambda m: m["model"].update(max_input_len=600.0),
+         "manifest 'model': max_input_len must have the type of its default 600, got 600.0"),
+        (lambda m: m.update(vocab_file=5), "manifest 'vocab_file' is not a string"),
     ], ids=["model-lacks-key", "entry-lacks-name", "entry-lacks-shape", "params-not-list",
-            "model-not-object", "shape-not-list"])
+            "model-not-object", "shape-not-list", "d-model-not-int", "max-input-len-float",
+            "vocab-file-not-string"])
     def test_malformed_manifest_rejected(self, tmp_path, edit, message):
         model, _ = self._trained_model()
         path = save_checkpoint(model, tmp_path / "ckpt")
