@@ -236,6 +236,19 @@ def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: 
     return xhat * gain + bias, xhat, inv_std
 
 
+def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray):
+    """Gradients (x, gain, bias) of a layer norm whose output gradient is ``g``."""
+    d = g.shape[-1]
+    lead = tuple(range(g.ndim - 1))
+    dxhat = g * gain
+    dx = inv_std * (
+        dxhat
+        - dxhat.sum(axis=-1, keepdims=True) / d
+        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d
+    )
+    return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
@@ -243,20 +256,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"layer_norm expects gain/bias of shape ({d},)")
     y, xhat, inv_std = _layer_norm_forward(x.data, gain.data, bias.data, eps)
-
-    def backward_fn(g):
-        lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        dxhat = g * gain.data
-        dx = inv_std * (
-            dxhat
-            - dxhat.sum(axis=-1, keepdims=True) / d
-            - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d
-        )
-        return dx, dgain, dbias
-
-    return _make(y, (x, gain, bias), backward_fn)
+    return _make(y, (x, gain, bias), lambda g: _layer_norm_backward(g, xhat, inv_std, gain.data))
 
 
 def embedding_lookup(table, ids) -> Tensor:
@@ -318,34 +318,29 @@ def cosine_cost(a, b, eps: float = 1e-12) -> Tensor:
     return add(scale(div(dots, denom), -1.0), Tensor(1.0))
 
 
-def _ffn_forward(x, w1, b1, w2, b2, slope: bool = False):
-    """GELU (tanh form) feed-forward on the rows of ``x``; returns
-    (out, activation, GELU slope or None)."""
-    act, d_act = _gelu(x @ w1 + b1, slope)
-    return act @ w2 + b2, act, d_act
+def _ffn_forward(x, gain, bias, w1, b1, w2, b2, slope: bool = False):
+    """Pre-LN feed-forward sublayer ``x + FFN(LN(x))``, GELU (tanh form),
+    on the rows of ``x``; returns (out, (normed, xhat, inv_std, activation,
+    GELU slope or None))."""
+    normed, xhat, inv_std = _layer_norm_forward(x, gain, bias)
+    act, d_act = _gelu(normed @ w1 + b1, slope)
+    return x + (act @ w2 + b2), (normed, xhat, inv_std, act, d_act)
 
 
-def ffn_op(x, w1, b1, w2, b2) -> Tensor:
-    """Two-layer feed-forward block with GELU, fused into one node."""
-    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
-    out, act, d_act = _ffn_forward(
-        x.data, w1.data, b1.data, w2.data, b2.data, slope=_grad_enabled
+def ffn_op(x, gain, bias, w1, b1, w2, b2) -> Tensor:
+    """Pre-LN feed-forward sublayer with its residual, fused into one node."""
+    operands = tuple(map(as_tensor, (x, gain, bias, w1, b1, w2, b2)))
+    _, gain, _, w1, _, w2, _ = operands
+    out, (normed, xhat, inv_std, act, d_act) = _ffn_forward(
+        *[t.data for t in operands], slope=_grad_enabled
     )
 
     def backward_fn(g):
-        g_b2 = g.sum(axis=0)
-        g_w2 = act.T @ g
-        g_act = g @ w2.data.T
-        g_pre = g_act * d_act
-        return (
-            g_pre @ w1.data.T,
-            x.data.T @ g_pre,
-            g_pre.sum(axis=0),
-            g_w2,
-            g_b2,
-        )
+        g_pre = (g @ w2.data.T) * d_act
+        g_x, g_gain, g_bias = _layer_norm_backward(g_pre @ w1.data.T, xhat, inv_std, gain.data)
+        return g + g_x, g_gain, g_bias, normed.T @ g_pre, g_pre.sum(axis=0), act.T @ g, g.sum(axis=0)
 
-    return _make(out, (x, w1, b1, w2, b2), backward_fn)
+    return _make(out, operands, backward_fn)
 
 
 def relation_biased_attention_op(z, q_grid, wqs, wks, wvs, wkr, wvr, num_heads: int) -> Tensor:
@@ -426,20 +421,20 @@ def _split_heads(m: np.ndarray, num_heads: int) -> np.ndarray:
     """(..., len, d_model) -> (..., heads, len, d_k): the packed head blocks
     of the projection side by side become a leading heads axis (a view)."""
     *lead, length, d_model = m.shape
-    return np.swapaxes(m.reshape(*lead, length, num_heads, d_model // num_heads), -2, -3)
+    return m.reshape(*lead, length, num_heads, d_model // num_heads).swapaxes(-2, -3)
 
 
 def _merge_heads(m: np.ndarray) -> np.ndarray:
     """Inverse of ``_split_heads``: (..., heads, len, d_k) -> (..., len, d_model)."""
     *lead, num_heads, length, d_k = m.shape
-    return np.swapaxes(m, -2, -3).reshape(*lead, length, num_heads * d_k)
+    return m.swapaxes(-2, -3).reshape(*lead, length, num_heads * d_k)
 
 
 def _softmax_attention(q, k, v, scaling: float, blocked=None):
     """Scaled dot-product attention over split heads; ``q``, ``k`` and ``v``
     broadcast as (..., heads, len, d_k) and blocked positions get exactly
     zero weight. Returns (probs, probs @ v)."""
-    scores = (q @ np.swapaxes(k, -1, -2)) * scaling
+    scores = (q @ k.swapaxes(-1, -2)) * scaling
     if blocked is not None:
         scores = np.where(blocked, -np.inf, scores)
     scores -= scores.max(axis=-1, keepdims=True)
@@ -448,17 +443,35 @@ def _softmax_attention(q, k, v, scaling: float, blocked=None):
     return probs, probs @ v
 
 
+def _attention_forward(x, gain, bias, wq, wk, wv, wo, num_heads, kv=None, cache=None, blocked=None):
+    """Pre-LN attention sublayer ``x + attention(LN(x), ...)`` on rows ``x``
+    of shape (..., len, d_model).
+
+    Self-attention (``kv`` None) projects keys and values from LN(x) and
+    appends them after ``cache``, the (keys, values) of earlier positions,
+    when one is given. Cross-attention takes ``kv``, keys and values already
+    split into heads. Returns (out, keys, values, (normed, xhat, inv_std,
+    queries, probs, context)).
+    """
+    normed, xhat, inv_std = _layer_norm_forward(x, gain, bias)
+    q = _split_heads(normed @ wq, num_heads)
+    if kv is None:
+        k, v = _split_heads(normed @ wk, num_heads), _split_heads(normed @ wv, num_heads)
+        if cache is not None:
+            k, v = np.concatenate([cache[0], k], axis=-2), np.concatenate([cache[1], v], axis=-2)
+    else:
+        k, v = kv
+    probs, heads_context = _softmax_attention(q, k, v, 1.0 / math.sqrt(q.shape[-1]), blocked)
+    context = _merge_heads(heads_context)
+    return x + context @ wo, k, v, (normed, xhat, inv_std, q, probs, context)
+
+
 def multihead_attention_op(
-    x_q,
-    x_kv,
-    wq,
-    wk,
-    wv,
-    wo,
-    num_heads: int,
-    blocked=None,
+    x, memory, gain, bias, wq, wk, wv, wo, num_heads: int, blocked=None
 ) -> Tensor:
-    """Scaled dot-product attention over packed heads, fused into one node.
+    """Pre-LN attention sublayer with its residual, fused into one node:
+    ``x + attention(LN(x), LN(x))`` when ``memory`` is None, else
+    ``x + attention(LN(x), memory)``.
 
     ``blocked`` is an optional boolean array broadcastable to
     (1, len_q, len_k): blocked key positions get -inf logits and therefore
@@ -466,45 +479,43 @@ def multihead_attention_op(
     (d_model, d_model) projection matrices; head outputs are concatenated and
     passed through the output projection ``wo``.
     """
-    x_q, x_kv = as_tensor(x_q), as_tensor(x_kv)
-    wq, wk, wv, wo = as_tensor(wq), as_tensor(wk), as_tensor(wv), as_tensor(wo)
-    _, d_model = x_q.data.shape
-    if x_kv.data.shape[1] != d_model or wq.data.shape != (d_model, d_model):
+    x, gain, bias, wq, wk, wv, wo = map(as_tensor, (x, gain, bias, wq, wk, wv, wo))
+    self_attention = memory is None
+    sources = (x,) if self_attention else (x, as_tensor(memory))
+    d_model = x.data.shape[1]
+    if sources[-1].data.shape[1] != d_model or wq.data.shape != (d_model, d_model):
         raise ShapeError("attention operands disagree on d_model")
     if d_model % num_heads != 0:
         raise ShapeError(f"d_model {d_model} not divisible by {num_heads} heads")
-    d_k = d_model // num_heads
-    scaling = 1.0 / math.sqrt(d_k)
-
-    q = _split_heads(x_q.data @ wq.data, num_heads)
-    k = _split_heads(x_kv.data @ wk.data, num_heads)
-    v = _split_heads(x_kv.data @ wv.data, num_heads)
-    probs, heads_context = _softmax_attention(q, k, v, scaling, blocked)
-    context = _merge_heads(heads_context)
-    out = context @ wo.data
+    scaling = 1.0 / math.sqrt(d_model // num_heads)
+    kv = None
+    if not self_attention:
+        rows = sources[1].data
+        kv = (_split_heads(rows @ wk.data, num_heads), _split_heads(rows @ wv.data, num_heads))
+    out, k, v, (normed, xhat, inv_std, q, probs, context) = _attention_forward(
+        x.data, gain.data, bias.data, wq.data, wk.data, wv.data, wo.data, num_heads,
+        kv=kv, blocked=blocked,
+    )
+    kv_rows = normed if self_attention else sources[1].data
 
     def backward_fn(g):
-        g_wo = context.T @ g
         g_context = _split_heads(g @ wo.data.T, num_heads)
         g_probs = g_context @ v.transpose(0, 2, 1)
-        g_v = probs.transpose(0, 2, 1) @ g_context
+        g_v = _merge_heads(probs.transpose(0, 2, 1) @ g_context)
         g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
         g_scores *= scaling
-        g_q = g_scores @ k
-        g_k = g_scores.transpose(0, 2, 1) @ q
-        g_q, g_k, g_v = _merge_heads(g_q), _merge_heads(g_k), _merge_heads(g_v)
-        g_xq = g_q @ wq.data.T
-        g_xkv = g_k @ wk.data.T + g_v @ wv.data.T
-        return (
-            g_xq,
-            g_xkv,
-            x_q.data.T @ g_q,
-            x_kv.data.T @ g_k,
-            x_kv.data.T @ g_v,
-            g_wo,
-        )
+        g_q = _merge_heads(g_scores @ k)
+        g_k = _merge_heads(g_scores.transpose(0, 2, 1) @ q)
+        g_normed = g_q @ wq.data.T
+        g_kv_rows = g_k @ wk.data.T + g_v @ wv.data.T
+        if self_attention:
+            g_normed = g_normed + g_kv_rows
+        g_x, g_gain, g_bias = _layer_norm_backward(g_normed, xhat, inv_std, gain.data)
+        g_sources = (g + g_x,) if self_attention else (g + g_x, g_kv_rows)
+        g_weights = (normed.T @ g_q, kv_rows.T @ g_k, kv_rows.T @ g_v, context.T @ g)
+        return (*g_sources, g_gain, g_bias, *g_weights)
 
-    return _make(out, (x_q, x_kv, wq, wk, wv, wo), backward_fn)
+    return _make(out, (*sources, gain, bias, wq, wk, wv, wo), backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,17 @@ encoder states, a tied language-model head, and beam-search generation."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import encoder
 from .autograd import (
     ParamStore,
     Tensor,
+    _attention_forward,
     _ffn_forward,
     _layer_norm_forward,
-    _merge_heads,
-    _softmax_attention,
     _split_heads,
     add,
     embedding_lookup,
@@ -25,11 +24,14 @@ from .autograd import (
     transpose,
 )
 from .encoder import (
-    feed_forward,
+    ATTENTION_WEIGHTS,
+    FFN_WEIGHTS,
     init_attention_params,
     init_ffn_params,
     init_layer_norm_params,
-    multi_head_attention,
+    key_mask,
+    require_sizes,
+    sublayer_params,
 )
 from .errors import LengthError
 from .vocab import BOS_ID, EOS_ID
@@ -44,6 +46,7 @@ class DecoderConfig:
     max_output_len: int = 64
 
     def __post_init__(self):
+        require_sizes(self, ("num_layers", "num_heads", "d_model", "d_ff", "max_output_len"))
         if self.d_model % self.num_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.num_heads} heads")
 
@@ -74,6 +77,17 @@ def init_decoder_params(store: ParamStore, cfg: DecoderConfig, rng) -> None:
     init_layer_norm_params(store, "dec.final_ln", cfg.d_model)
 
 
+def _sublayers(params, layer: int) -> tuple[list, list, list]:
+    """Operands of decoder layer ``layer``'s self-attention, cross-attention
+    and feed-forward sublayers, from a ``ParamStore`` or a dict of arrays."""
+    p = f"dec.{layer}"
+    return (
+        sublayer_params(params, f"{p}.ln1", f"{p}.self", ATTENTION_WEIGHTS),
+        sublayer_params(params, f"{p}.ln2", f"{p}.cross", ATTENTION_WEIGHTS),
+        sublayer_params(params, f"{p}.ln3", f"{p}.ffn", FFN_WEIGHTS),
+    )
+
+
 def _decoder_states(
     input_ids: np.ndarray,
     encoder_states: Tensor,
@@ -86,30 +100,15 @@ def _decoder_states(
         embedding_lookup(store["tok_emb"], input_ids),
         slice_view(store["dec.pos_emb"], slice(0, length)),
     )
+    causal = np.triu(np.ones((length, length), dtype=bool), k=1)[None]
+    blocked = key_mask(encoder_padding)
+    # the sublayer ops are looked up on the encoder module, so that a wrapper
+    # installed there (as the bench trace does) sees the decoder's calls too
     for layer in range(cfg.num_layers):
-        p = f"dec.{layer}"
-        normed = layer_norm(x, store[f"{p}.ln1.g"], store[f"{p}.ln1.b"])
-        x = add(
-            x,
-            multi_head_attention(
-                normed, normed,
-                store[f"{p}.self.wq"], store[f"{p}.self.wk"],
-                store[f"{p}.self.wv"], store[f"{p}.self.wo"],
-                cfg.num_heads, causal=True,
-            ),
-        )
-        normed = layer_norm(x, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
-        x = add(
-            x,
-            multi_head_attention(
-                normed, encoder_states,
-                store[f"{p}.cross.wq"], store[f"{p}.cross.wk"],
-                store[f"{p}.cross.wv"], store[f"{p}.cross.wo"],
-                cfg.num_heads, key_padding=encoder_padding,
-            ),
-        )
-        normed = layer_norm(x, store[f"{p}.ln3.g"], store[f"{p}.ln3.b"])
-        x = add(x, feed_forward(normed, store, f"{p}.ffn"))
+        self_attn, cross, ffn = _sublayers(store, layer)
+        x = encoder.multihead_attention_op(x, None, *self_attn, cfg.num_heads, causal)
+        x = encoder.multihead_attention_op(x, encoder_states, *cross, cfg.num_heads, blocked)
+        x = encoder.ffn_op(x, *ffn)
     return layer_norm(x, store["dec.final_ln.g"], store["dec.final_ln.b"])
 
 
@@ -254,20 +253,20 @@ def generate(
 ) -> list[int]:
     """Beam-search decode from <BOS>; returns generated ids without markers.
 
-    Decoding is incremental. The encoder states pass through each layer's
-    cross-attention K/V projections once. Each layer caches the self-attention
-    K/V of every row as (rows, heads, t, d_k); a step gathers the cache by
-    parent row and appends the new position, so the decoder runs only for
-    the newest position of every row, all rows as one block.
+    Decoding is incremental and runs the same sublayer forward helpers as
+    the training ops. The encoder states pass through each layer's
+    cross-attention K/V projections once. Each layer caches the
+    self-attention K/V of every row as (rows, heads, t, d_k); a step gathers
+    the cache by parent row and the self-attention helper appends the new
+    position, so the decoder runs only for the newest position of every
+    row, all rows as one block.
     """
     w = {name: store[name].data for name in store.names() if name.startswith("dec.")}
     tok_emb = store["tok_emb"].data
     heads = cfg.num_heads
-    scaling = 1.0 / math.sqrt(cfg.d_model // heads)
     memory = encoder_states.data
-    blocked = None
-    if encoder_padding is not None:
-        blocked = np.asarray(encoder_padding, dtype=bool).reshape(1, 1, -1)
+    blocked = key_mask(encoder_padding)
+    layers = [_sublayers(w, layer) for layer in range(cfg.num_layers)]
     cross_kv = [
         (_split_heads(memory @ w[f"dec.{layer}.cross.wk"], heads),
          _split_heads(memory @ w[f"dec.{layer}.cross.wv"], heads))
@@ -279,28 +278,15 @@ def generate(
     def step_logprobs(parent_rows: np.ndarray, last_tokens: np.ndarray) -> np.ndarray:
         t = self_kv[0][0].shape[2]
         x = tok_emb[last_tokens] + w["dec.pos_emb"][t]
-        for layer in range(cfg.num_layers):
-            p = f"dec.{layer}"
-            # (rows, 1, d): one new position per row, split to (rows, heads, 1, d_k)
-            normed = _layer_norm_forward(x, w[f"{p}.ln1.g"], w[f"{p}.ln1.b"])[0][:, None, :]
+        for layer, (self_attn, cross, ffn) in enumerate(layers):
+            # each row is the newest position of its own prefix: (rows, 1, d)
             cached_keys, cached_values = self_kv[layer]
-            new_keys = _split_heads(normed @ w[f"{p}.self.wk"], heads)
-            new_values = _split_heads(normed @ w[f"{p}.self.wv"], heads)
-            keys = np.concatenate([cached_keys[parent_rows], new_keys], axis=2)
-            values = np.concatenate([cached_values[parent_rows], new_values], axis=2)
+            cache = (cached_keys[parent_rows], cached_values[parent_rows])
+            x, keys, values, _ = _attention_forward(x[:, None, :], *self_attn, heads, cache=cache)
             self_kv[layer] = (keys, values)
-            query = _split_heads(normed @ w[f"{p}.self.wq"], heads)
-            context = _softmax_attention(query, keys, values, scaling)[1]
-            x = x + _merge_heads(context)[:, 0] @ w[f"{p}.self.wo"]
             # rows take the place of query positions: (heads, rows, d_k)
-            normed = _layer_norm_forward(x, w[f"{p}.ln2.g"], w[f"{p}.ln2.b"])[0]
-            query = _split_heads(normed @ w[f"{p}.cross.wq"], heads)
-            context = _softmax_attention(query, *cross_kv[layer], scaling, blocked)[1]
-            x = x + _merge_heads(context) @ w[f"{p}.cross.wo"]
-            normed = _layer_norm_forward(x, w[f"{p}.ln3.g"], w[f"{p}.ln3.b"])[0]
-            x = x + _ffn_forward(
-                normed, w[f"{p}.ffn.w1"], w[f"{p}.ffn.b1"], w[f"{p}.ffn.w2"], w[f"{p}.ffn.b2"]
-            )[0]
+            x = _attention_forward(x[:, 0], *cross, heads, kv=cross_kv[layer], blocked=blocked)[0]
+            x = _ffn_forward(x, *ffn)[0]
         states = _layer_norm_forward(x, w["dec.final_ln.g"], w["dec.final_ln.b"])[0]
         return log_softmax(states @ tok_emb.T, axis=-1).data
 

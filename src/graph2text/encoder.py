@@ -4,9 +4,11 @@ Each layer runs vanilla multi-head self-attention, then (for the "joint"
 variant) an aggregation block that pools token states into entity/relation
 vectors, attends among entities with relation-biased attention, and adds the
 result back onto entity token positions, then the feed-forward sublayer.
-Blocks are pre-layer-norm. Variant "seq" skips the aggregation block;
-variant "rel" feeds learned entity/relation embedding tables through the
-same relation-biased attention instead of pooled states.
+Sublayers are pre-layer-norm, and each one (layer norm, attention or
+feed-forward, residual) is a single fused autograd node. Variant "seq"
+skips the aggregation block; variant "rel" feeds learned entity/relation
+embedding tables through the same relation-biased attention instead of
+pooled states.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ VARIANT_REL = "rel"
 VARIANTS = (VARIANT_JOINT, VARIANT_SEQ, VARIANT_REL)
 
 
+def require_sizes(cfg, names) -> None:
+    """Raise ``ValueError`` naming the first of the ``names`` fields of
+    ``cfg`` that is below 1."""
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     num_layers: int
@@ -45,6 +55,7 @@ class EncoderConfig:
     variant: str = VARIANT_JOINT
 
     def __post_init__(self):
+        require_sizes(self, ("num_layers", "num_heads", "d_model", "d_ff", "max_input_len"))
         if self.d_model % self.num_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.num_heads} heads")
         if self.variant not in VARIANTS:
@@ -91,8 +102,24 @@ class EncoderInput:
         return len(self.entity_positions)
 
 
+def key_mask(padding) -> np.ndarray | None:
+    """The attention ``blocked`` mask of keys with ``padding`` (True = pad)."""
+    return None if padding is None else np.asarray(padding, dtype=bool).reshape(1, 1, -1)
+
+
+ATTENTION_WEIGHTS = ("wq", "wk", "wv", "wo")
+FFN_WEIGHTS = ("w1", "b1", "w2", "b2")
+
+
+def sublayer_params(params, norm: str, block: str, names) -> list:
+    """A pre-LN sublayer's operands in the order its fused op takes them:
+    the gain and bias of layer norm ``norm``, then the ``names`` weights of
+    ``block``. ``params`` is a ``ParamStore`` or a dict of arrays."""
+    return [params[f"{norm}.g"], params[f"{norm}.b"]] + [params[f"{block}.{n}"] for n in names]
+
+
 def init_attention_params(store: ParamStore, prefix: str, d_model: int, rng) -> None:
-    for name in ("wq", "wk", "wv", "wo"):
+    for name in ATTENTION_WEIGHTS:
         store.add(f"{prefix}.{name}", rng.normal(0.0, 0.02, size=(d_model, d_model)))
 
 
@@ -131,52 +158,6 @@ def init_encoder_params(store: ParamStore, cfg: EncoderConfig, vocab_size: int, 
     if cfg.variant == VARIANT_REL:
         store.add("struct.ent_emb", rng.normal(0.0, 0.02, size=(vocab_size, cfg.d_model)))
         store.add("struct.rel_emb", rng.normal(0.0, 0.02, size=(vocab_size, cfg.d_model)))
-
-
-def multi_head_attention(
-    x_q: Tensor,
-    x_kv: Tensor,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
-    wo: Tensor,
-    num_heads: int,
-    key_padding: np.ndarray | None = None,
-    causal: bool = False,
-) -> Tensor:
-    """Attention of ``x_q`` over ``x_kv`` with packed heads and output
-    projection. Padded keys (and future keys under ``causal``) receive -inf
-    logits before the softmax, so they carry exactly zero weight.
-    """
-    lq, lk = x_q.shape[0], x_kv.shape[0]
-    blocked = None
-    if key_padding is not None:
-        blocked = np.broadcast_to(np.asarray(key_padding, dtype=bool).reshape(1, 1, lk), (1, lq, lk))
-    if causal:
-        future = np.triu(np.ones((lq, lk), dtype=bool), k=1)[None]
-        blocked = future if blocked is None else blocked | future
-    return multihead_attention_op(x_q, x_kv, wq, wk, wv, wo, num_heads, blocked)
-
-
-def vanilla_self_attention(
-    h: Tensor,
-    store: ParamStore,
-    prefix: str,
-    num_heads: int,
-    key_padding: np.ndarray | None = None,
-) -> Tensor:
-    return multi_head_attention(
-        h, h,
-        store[f"{prefix}.wq"], store[f"{prefix}.wk"], store[f"{prefix}.wv"], store[f"{prefix}.wo"],
-        num_heads, key_padding=key_padding,
-    )
-
-
-def feed_forward(h: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    return ffn_op(
-        h, store[f"{prefix}.w1"], store[f"{prefix}.b1"],
-        store[f"{prefix}.w2"], store[f"{prefix}.b2"],
-    )
 
 
 def pooling_matrices(inp: EncoderInput, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -260,10 +241,13 @@ def encode(inp: EncoderInput, cfg: EncoderConfig, store: ParamStore) -> Tensor:
                 matmul(pool_rel, embedding_lookup(store["struct.rel_emb"], ids)),
             )
 
+    blocked = key_mask(inp.padding)
     for layer in range(cfg.num_layers):
         p = f"enc.{layer}"
-        normed = layer_norm(x, store[f"{p}.ln1.g"], store[f"{p}.ln1.b"])
-        h = add(x, vanilla_self_attention(normed, store, f"{p}.attn", cfg.num_heads, inp.padding))
+        h = multihead_attention_op(
+            x, None, *sublayer_params(store, f"{p}.ln1", f"{p}.attn", ATTENTION_WEIGHTS),
+            cfg.num_heads, blocked,
+        )
         if aggregate:
             if cfg.variant == VARIANT_JOINT:
                 z, q_grid = matmul(pool_ent, h), matmul(pool_rel, h)
@@ -271,6 +255,5 @@ def encode(inp: EncoderInput, cfg: EncoderConfig, store: ParamStore) -> Tensor:
                 z, q_grid = rel_units
             z_tilde = structure_aware_attention(z, q_grid, store, f"{p}.agg", cfg.num_heads)
             h = add(h, matmul(scatter, z_tilde))
-        normed = layer_norm(h, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
-        x = add(h, feed_forward(normed, store, f"{p}.ffn"))
+        x = ffn_op(h, *sublayer_params(store, f"{p}.ln2", f"{p}.ffn", FFN_WEIGHTS))
     return layer_norm(x, store["enc.final_ln.g"], store["enc.final_ln.b"])

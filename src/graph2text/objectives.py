@@ -3,6 +3,7 @@ the proximal-point transport solver, and the fine-tuning loss."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -22,10 +23,10 @@ from .autograd import (
 )
 from .data import GraphTextPair, linearize, unit_sequence
 from .decoder import lm_logits, teacher_forced_states
-from .encoder import EncoderInput, pooling_matrices
+from .encoder import pooling_matrices
 from .errors import MarginalError, NumericError, ShapeError
 from .model import Seq2SeqModel
-from .vocab import SEP_ID, mask_graph, mask_text
+from .vocab import mask_graph, mask_text
 
 
 @dataclass(frozen=True)
@@ -164,14 +165,7 @@ def loss_graph_reconstruction(
     masked_rows = [i for i, flag in enumerate(masked.indicators) if flag]
     if not masked_rows:
         return Tensor(0.0)
-    corrupted_ids = model.vocab.encode_tokens(masked.corrupted)
-    text_ids = model.vocab.encode_tokens(pair.text)
-    inp = EncoderInput(
-        ids=tuple(corrupted_ids + [SEP_ID] + text_ids),
-        graph_len=lin.m,
-        entity_positions=lin.entity_positions,
-        relation_positions=lin.relation_positions,
-    )
+    inp = model.encoder_input(dataclasses.replace(lin, tokens=masked.corrupted), pair.text)
     states = model.encode(inp)
     picked = embedding_lookup(states, np.asarray(masked_rows, dtype=np.int64))
     logits = lm_logits(picked, model.store)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import ParamStore, backward
+from .encoder import require_sizes
 from .errors import CheckpointError, EmptyCorpus, NumericError, UsageError
 from .model import ModelSettings, Seq2SeqModel, build_model
 from .objectives import OTConfig, combined_pretrain_loss, loss_finetune
@@ -48,9 +49,7 @@ class TrainConfig:
             raise ValueError("warmup_ratio must lie in [0, 1]")
         if self.task not in (TASK_PRETRAIN, TASK_FINETUNE):
             raise ValueError(f"unknown task {self.task!r}")
-        for name in ("batch_size", "epochs", "checkpoint_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        require_sizes(self, ("batch_size", "epochs", "checkpoint_every"))
 
 
 class AdamState:

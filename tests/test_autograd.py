@@ -49,36 +49,56 @@ class TestBasicOps:
         assert np.array_equal(x.grad, np.array([[0, 0], [1, 1], [1, 1.0]]))
 
 
-def attention_weights(logits, blocked=None) -> Tensor:
-    """The (n, n) attention probabilities of ``multihead_attention_op`` for
-    (n, n) ``logits``: one head, identity keys, values and output, and the
-    queries scaled by sqrt(d_k) so the scores are the logits."""
-    n = logits.shape[0]
-    eye = Tensor(np.eye(n))
-    x_q = ag.scale(logits, math.sqrt(n))
-    return ag.multihead_attention_op(x_q, eye, eye, eye, eye, eye, 1, blocked)
+def attention_weights(logits: np.ndarray, blocked=None) -> np.ndarray:
+    """The (n, n) attention probabilities that the fused attention ops form
+    for (n, n) ``logits``: one head, identity keys and unit scaling, so the
+    scores are the logits."""
+    eye = np.eye(logits.shape[0])[None]
+    return ag._softmax_attention(logits[None], eye, eye, 1.0, blocked)[0][0]
+
+
+def attention_arrays(rng, lq: int, lk: int, d: int) -> dict:
+    """Queries ``x``, a ``memory`` to attend over, and one attention
+    sublayer's layer-norm and projection parameters."""
+    arrays = {
+        "x": rng.normal(size=(lq, d)),
+        "memory": rng.normal(size=(lk, d)),
+        "gain": rng.normal(size=d) + 1.5,
+        "bias": rng.normal(size=d) * 0.1,
+    }
+    for name in ("wq", "wk", "wv", "wo"):
+        arrays[name] = rng.normal(size=(d, d)) * 0.5
+    return arrays
+
+
+def attention_loss(s, readout, num_heads, blocked=None, memory=True) -> Tensor:
+    weights = (s[k] for k in ("gain", "bias", "wq", "wk", "wv", "wo"))
+    out = ag.multihead_attention_op(
+        s["x"], s["memory"] if memory else None, *weights, num_heads, blocked
+    )
+    return ag.reduce_sum(ag.mul(out, Tensor(readout)))
 
 
 class TestSoftmax:
-    """The softmax inside the fused attention op."""
+    """The softmax inside the fused attention ops."""
 
     def test_symmetric(self):
-        out = attention_weights(Tensor(np.zeros((2, 2))))
-        assert np.allclose(out.data, 0.5, atol=1e-15)
+        out = attention_weights(np.zeros((2, 2)))
+        assert np.allclose(out, 0.5, atol=1e-15)
 
     def test_large_inputs_stable(self):
-        out = attention_weights(Tensor(np.array([[1000.0, 0.0], [0.0, 0.0]])))
-        assert np.isfinite(out.data).all()
-        assert out.data[0, 0] > 1 - 1e-12
+        out = attention_weights(np.array([[1000.0, 0.0], [0.0, 0.0]]))
+        assert np.isfinite(out).all()
+        assert out[0, 0] > 1 - 1e-12
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         blocked = rng.random((1, 7, 7)) < 0.4
         blocked[0, np.arange(7), np.arange(7)] = False
-        out = attention_weights(Tensor(rng.normal(size=(7, 7)) * 3), blocked)
-        assert out.data.min() >= 0
-        assert np.abs(out.data.sum(axis=-1) - 1.0).max() < 1e-12
-        assert (out.data[blocked[0]] == 0.0).all()
+        out = attention_weights(rng.normal(size=(7, 7)) * 3, blocked)
+        assert out.min() >= 0
+        assert np.abs(out.sum(axis=-1) - 1.0).max() < 1e-12
+        assert (out[blocked[0]] == 0.0).all()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -86,8 +106,8 @@ class TestSoftmax:
         blocked = np.zeros((1, 4, 4), dtype=bool)
         blocked[0, 0, 1] = True
         check_scalar_fn(
-            lambda s: ag.reduce_sum(ag.mul(attention_weights(s["x"], blocked), Tensor(readout))),
-            {"x": rng.normal(size=(4, 4))},
+            lambda s: attention_loss(s, readout, 1, blocked),
+            attention_arrays(rng, 4, 4, 4),
         )
 
 
@@ -262,8 +282,10 @@ def _random_op_case(seed: int):
     def build(s):
         x = ag.add(s["a"], s["bias"])           # row broadcast
         x = ag.layer_norm(x, s["gain"], s["bias"])
-        x = ag.ffn_op(x, s["w1"], s["b1"], s["w2"], s["b2"])
-        x = ag.multihead_attention_op(x, x, s["wq"], s["wk"], s["wv"], s["wo"], 1, blocked)
+        x = ag.ffn_op(x, s["gain"], s["bias"], s["w1"], s["b1"], s["w2"], s["b2"])
+        x = ag.multihead_attention_op(
+            x, None, s["gain"], s["bias"], s["wq"], s["wk"], s["wv"], s["wo"], 1, blocked
+        )
         y = ag.matmul(x, s["b"])                # (n, n)
         z = ag.matmul(y, ag.transpose(s["b"]))  # (n, d)
         z = ag.div(z, ag.add(ag.sqrt(ag.reduce_sum(ag.mul(z, z), axis=-1, keepdims=True)), Tensor(1.0)))
@@ -282,48 +304,22 @@ class TestOpGradientsProperty:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_attention_op(self, seed):
+        # cross-attention: gradients reach x (residual and layer norm), the
+        # memory, the layer-norm gain and bias, and all four projections
         rng = np.random.default_rng(seed)
-        lq, lk, d = 3, 4, 4
-        arrays = {
-            "xq": rng.normal(size=(lq, d)),
-            "xkv": rng.normal(size=(lk, d)),
-            "wq": rng.normal(size=(d, d)) * 0.5,
-            "wk": rng.normal(size=(d, d)) * 0.5,
-            "wv": rng.normal(size=(d, d)) * 0.5,
-            "wo": rng.normal(size=(d, d)) * 0.5,
-        }
-        readout = rng.normal(size=(lq, d))
-        blocked = np.zeros((1, lq, lk), dtype=bool)
+        arrays = attention_arrays(rng, 3, 4, 4)
+        readout = rng.normal(size=(3, 4))
+        blocked = np.zeros((1, 3, 4), dtype=bool)
         blocked[0, :, -1] = True
-
-        def build(s):
-            out = ag.multihead_attention_op(
-                s["xq"], s["xkv"], s["wq"], s["wk"], s["wv"], s["wo"], 2, blocked
-            )
-            return ag.reduce_sum(ag.mul(out, Tensor(readout)))
-
-        check_scalar_fn(build, arrays, tol=1e-5)
+        check_scalar_fn(lambda s: attention_loss(s, readout, 2, blocked), arrays, tol=1e-5)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_self_attention_shared_input(self, seed):
         rng = np.random.default_rng(100 + seed)
-        n, d = 4, 4
-        arrays = {
-            "x": rng.normal(size=(n, d)),
-            "wq": rng.normal(size=(d, d)) * 0.5,
-            "wk": rng.normal(size=(d, d)) * 0.5,
-            "wv": rng.normal(size=(d, d)) * 0.5,
-            "wo": rng.normal(size=(d, d)) * 0.5,
-        }
-        readout = rng.normal(size=(n, d))
-
-        def build(s):
-            out = ag.multihead_attention_op(
-                s["x"], s["x"], s["wq"], s["wk"], s["wv"], s["wo"], 2, None
-            )
-            return ag.reduce_sum(ag.mul(out, Tensor(readout)))
-
-        check_scalar_fn(build, arrays, tol=1e-5)
+        arrays = attention_arrays(rng, 4, 4, 4)
+        del arrays["memory"]
+        readout = rng.normal(size=(4, 4))
+        check_scalar_fn(lambda s: attention_loss(s, readout, 2, memory=False), arrays, tol=1e-5)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_relation_biased_attention_op(self, seed):
@@ -348,6 +344,8 @@ class TestOpGradientsProperty:
         n, d, h = 3, 4, 5
         arrays = {
             "x": rng.normal(size=(n, d)),
+            "gain": rng.normal(size=d) + 1.5,
+            "bias": rng.normal(size=d) * 0.1,
             "w1": rng.normal(size=(d, h)) * 0.5,
             "b1": rng.normal(size=h) * 0.1,
             "w2": rng.normal(size=(h, d)) * 0.5,
@@ -356,7 +354,7 @@ class TestOpGradientsProperty:
         readout = rng.normal(size=(n, d))
 
         def build(s):
-            out = ag.ffn_op(s["x"], s["w1"], s["b1"], s["w2"], s["b2"])
+            out = ag.ffn_op(*(s[k] for k in ("x", "gain", "bias", "w1", "b1", "w2", "b2")))
             return ag.reduce_sum(ag.mul(out, Tensor(readout)))
 
         check_scalar_fn(build, arrays, tol=1e-5)
@@ -424,26 +422,30 @@ class TestGeluCube:
         assert np.array_equal(ag._gelu(x, slope=False)[0], y)
 
     def test_gelu_op_uses_helper(self):
-        # identity weights and zero biases make the FFN its GELU, exactly
-        x = Tensor(self.POINTS[:, None], requires_grad=True)
-        one, zero = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
-        out = ag.ffn_op(x, one, zero, one, zero)
+        # a zero gain makes the layer norm emit its bias, and identity
+        # weights with zero biases make the FFN its GELU, exactly; on a zero
+        # input the residual adds nothing, and the bias gradient is the slope
+        n = len(self.POINTS)
+        x, gain = Tensor(np.zeros((1, n))), Tensor(np.zeros(n))
+        bias = Tensor(self.POINTS.copy(), requires_grad=True)
+        eye, zero = Tensor(np.eye(n)), Tensor(np.zeros(n))
+        out = ag.ffn_op(x, gain, bias, eye, zero, eye, zero)
         backward(ag.reduce_sum(out))
         y, dy = ag._gelu(self.POINTS, slope=True)
-        assert np.array_equal(out.data[:, 0], y)
-        assert np.array_equal(x.grad[:, 0], dy)
+        assert np.array_equal(out.data[0], y)
+        assert np.array_equal(bias.grad, dy)
 
     def test_ffn_op_matches_pow_reference(self, monkeypatch):
         rng = np.random.default_rng(11)
         n, d, h = 32, 16, 64
         store = ParamStore()
-        for name, shape in (("x", (n, d)), ("w1", (d, h)), ("b1", (h,)),
-                            ("w2", (h, d)), ("b2", (d,))):
+        for name, shape in (("x", (n, d)), ("gain", (d,)), ("bias", (d,)), ("w1", (d, h)),
+                            ("b1", (h,)), ("w2", (h, d)), ("b2", (d,))):
             store.add(name, rng.normal(size=shape) * 1.5)
         readout = Tensor(rng.normal(size=(n, d)))
 
         def build():
-            out = ag.ffn_op(*(store[k] for k in ("x", "w1", "b1", "w2", "b2")))
+            out = ag.ffn_op(*(store[k] for k in ("x", "gain", "bias", "w1", "b1", "w2", "b2")))
             outputs.append(out.data)
             return ag.reduce_sum(ag.mul(out, readout))
 
@@ -453,7 +455,7 @@ class TestGeluCube:
         reference = store_gradients(store, build)
         out, ref_out = outputs
         assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
-        assert len(reference) == 5
+        assert len(reference) == 7
         assert_gradient_gate(grads, reference)
 
     def test_pretrain_bundle_matches_pow_reference(self, monkeypatch):

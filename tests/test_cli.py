@@ -110,6 +110,18 @@ class TestPretrain:
         assert f"{field} must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "o" / "log.jsonl").exists()
 
+    @pytest.mark.parametrize("key, value, field", [
+        ("num_heads", 0, "num_heads"), ("d_model", 0, "d_model"),
+        ("encoder_layers", -1, "num_layers"), ("d_ff", 0, "d_ff"),
+    ])
+    def test_model_size_below_one_exits_1(self, tmp_path, corpus_file, key, value, field, capsys):
+        cfg = write_config(tmp_path / "cfg.json", **{key: value})
+        code = main(["pretrain", "--config", str(cfg),
+                     "--corpus", str(corpus_file), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"error: {field} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("d_model", "16"), ("num_heads", 2.0), ("epochs", "2"), ("learning_rate", "0.1"),
         ("weights", 5), ("seed", True),

@@ -4,23 +4,27 @@ import pytest
 from graph2text import encoder
 from graph2text.autograd import (
     Tensor,
+    _layer_norm_forward,
     add,
     embedding_lookup,
     grad_check,
     matmul,
+    multihead_attention_op,
     mul,
     no_grad,
     reduce_sum,
 )
 from graph2text.data import linearize
 from graph2text.encoder import (
+    ATTENTION_WEIGHTS,
     EncoderConfig,
     EncoderInput,
     encode,
-    multi_head_attention,
+    key_mask,
     pooling_matrices,
     scatter_matrix,
     structure_aware_attention,
+    sublayer_params,
 )
 from graph2text.errors import EmptyPoolError, LengthError
 from graph2text.synth import build_toy_model
@@ -88,44 +92,48 @@ class TestEncoderInputValidation:
 
 
 class TestVanillaAttention:
-    def _weights(self, model, prefix="enc.0.attn"):
-        s = model.store
-        return s[f"{prefix}.wq"], s[f"{prefix}.wk"], s[f"{prefix}.wv"], s[f"{prefix}.wo"]
+    """The fused self-attention sublayer: x + attention(LN(x), LN(x))."""
+
+    def _params(self, model):
+        return sublayer_params(model.store, "enc.0.ln1", "enc.0.attn", ATTENTION_WEIGHTS)
 
     def test_single_token_equals_value_projection(self, model_and_input):
         model, _ = model_and_input
-        wq, wk, wv, wo = self._weights(model)
+        gain, bias, wq, wk, wv, wo = self._params(model)
         x = Tensor(np.random.default_rng(0).normal(size=(1, 16)))
-        out = multi_head_attention(x, x, wq, wk, wv, wo, num_heads=2)
-        expected = (x.data @ wv.data) @ wo.data
+        out = multihead_attention_op(x, None, gain, bias, wq, wk, wv, wo, num_heads=2)
+        normed = _layer_norm_forward(x.data, gain.data, bias.data)[0]
+        expected = x.data + (normed @ wv.data) @ wo.data
         assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_all_padded_but_one_key(self, model_and_input):
         model, _ = model_and_input
-        wq, wk, wv, wo = self._weights(model)
+        gain, bias, wq, wk, wv, wo = self._params(model)
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(4, 16)))
-        padding = np.array([True, False, True, True])
-        out = multi_head_attention(x, x, wq, wk, wv, wo, 2, key_padding=padding)
-        only_key = Tensor(x.data[1:2])
-        expected = (only_key.data @ wv.data) @ wo.data
-        assert np.allclose(out.data, np.repeat(expected, 4, axis=0), atol=1e-12)
+        blocked = key_mask(np.array([True, False, True, True]))
+        out = multihead_attention_op(x, None, gain, bias, wq, wk, wv, wo, 2, blocked)
+        only_key = _layer_norm_forward(x.data[1:2], gain.data, bias.data)[0]
+        expected = x.data + (only_key @ wv.data) @ wo.data
+        assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
         # probe the row-stochasticity through a uniform-value trick: with
-        # wv = 0 the output is 0; with values equal to a constant row c, the
-        # output is c @ wo exactly iff weights sum to one.
+        # wv = 0 the output is the residual alone; with values equal to a
+        # constant row c, it adds c @ wo exactly iff weights sum to one.
         rng = np.random.default_rng(2)
         d = 8
         x = Tensor(rng.normal(size=(5, d)))
+        gain, bias = Tensor(np.ones(d)), Tensor(np.zeros(d))
         wq, wk = Tensor(rng.normal(size=(d, d))), Tensor(rng.normal(size=(d, d)))
         wv = Tensor(np.zeros((d, d)))
         wo = Tensor(np.eye(d))
-        out = multi_head_attention(x, x, wq, wk, wv, wo, 2)
-        assert np.array_equal(out.data, np.zeros((5, d)))
+        out = multihead_attention_op(x, None, gain, bias, wq, wk, wv, wo, 2)
+        assert np.array_equal(out.data, x.data)
         ones_values = Tensor(np.ones((d, d)))
-        out = multi_head_attention(Tensor(np.ones((5, d))), Tensor(np.ones((5, d))), wq, wk, ones_values, wo, 2)
-        assert np.allclose(out.data, np.full((5, d), d), atol=1e-9)
+        memory = Tensor(np.ones((5, d)))
+        out = multihead_attention_op(x, memory, gain, bias, wq, wk, ones_values, wo, 2)
+        assert np.allclose(out.data, x.data + d, atol=1e-9)
 
 
 class TestPooling:

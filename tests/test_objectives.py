@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from graph2text import objectives
-from graph2text.autograd import Tensor, backward, cosine_cost, grad_check, no_grad
+from graph2text.autograd import Tensor, _toposort, backward, cosine_cost, grad_check, no_grad
 from graph2text.data import linearize, unit_sequence
 from graph2text.decoder import teacher_forced_states
 from graph2text.errors import MarginalError, NumericError
@@ -23,6 +24,7 @@ from graph2text.objectives import (
     uniform_marginals,
 )
 from graph2text.synth import build_toy_model, overfit_corpus
+from graph2text.vocab import MASK_ID, SEP_ID, mask_graph
 
 from conftest import (
     assert_gradient_gate,
@@ -174,6 +176,26 @@ class TestGraphReconstruction:
         model.store["tok_emb"].data[:] = 0.0
         loss = loss_graph_reconstruction(model, pair, random.Random(1), 1.0, 1.0)
         assert abs(loss.item() - math.log(len(model.vocab))) < 1e-9
+
+    def test_encoder_input_is_graph_sep_text(self, toy, monkeypatch):
+        # the corrupted graph tokens, <SEP> and the text, with the clean
+        # graph's unit position maps, as one would lay them out by hand
+        model, pair = toy
+        seed = self._seed_with_mask(model, pair)
+        seen = []
+        encode = model.encode
+        monkeypatch.setattr(model, "encode", lambda inp: seen.append(inp) or encode(inp))
+        loss_graph_reconstruction(model, pair, random.Random(seed))
+        lin = linearize(pair.graph)
+        masked = mask_graph(lin, random.Random(seed))
+        ids = model.vocab.encode_tokens(masked.corrupted) + [SEP_ID]
+        ids += model.vocab.encode_tokens(pair.text)
+        [inp] = seen
+        assert MASK_ID in inp.ids[: lin.m]
+        assert inp.ids == tuple(ids)
+        assert inp.graph_len == lin.m
+        assert inp.entity_positions == lin.entity_positions
+        assert inp.relation_positions == lin.relation_positions
 
     def test_gradient_check(self, small):
         model, pair = small
@@ -344,3 +366,21 @@ class TestFinetuneLoss:
         model, pair = small
         report = grad_check(lambda: loss_finetune(model, pair), model.store, tol=1e-4)
         assert report.passed, report.worst()
+
+    @pytest.mark.parametrize("variant", ["seq", "joint"])
+    def test_one_graph_node_per_sublayer(self, variant):
+        model, corpus = build_toy_model(variant=variant)
+        loss = loss_finetune(model, corpus[0])
+        ops = Counter(
+            node._backward_fn.__qualname__.split(".")[0]
+            for node in _toposort(loss) if node._backward_fn is not None
+        )
+        enc, dec = model.encoder_config.num_layers, model.decoder_config.num_layers
+        aggregating = enc if variant == "joint" else 0
+        assert ops["layer_norm"] == 2  # the final norms of encoder and decoder
+        assert ops["multihead_attention_op"] == enc + 2 * dec
+        assert ops["ffn_op"] == enc + dec
+        assert ops["relation_biased_attention_op"] == aggregating
+        # the residual adds live inside the sublayer nodes; what is left is
+        # the two token + position embedding sums and the aggregation scatters
+        assert ops["add"] == 2 + aggregating

@@ -264,10 +264,12 @@ class TestCheckpoint:
          "manifest 'model': d_model must have the type of its default 64, got '16'"),
         (lambda m: m["model"].update(max_input_len=600.0),
          "manifest 'model': max_input_len must have the type of its default 600, got 600.0"),
+        (lambda m: m["model"].update(num_heads=0),
+         "manifest 'model': num_heads must be at least 1, got 0"),
         (lambda m: m.update(vocab_file=5), "manifest 'vocab_file' is not a string"),
     ], ids=["model-lacks-key", "entry-lacks-name", "entry-lacks-shape", "params-not-list",
             "model-not-object", "shape-not-list", "d-model-not-int", "max-input-len-float",
-            "vocab-file-not-string"])
+            "num-heads-zero", "vocab-file-not-string"])
     def test_malformed_manifest_rejected(self, tmp_path, edit, message):
         model, _ = self._trained_model()
         path = save_checkpoint(model, tmp_path / "ckpt")
