@@ -60,16 +60,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __getitem__(self, key):
-        return slice_view(self, key)
-
 
 def _make(data, parents, backward_fn):
     """Create a result tensor, recording the node when grads are on."""
@@ -84,49 +74,14 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
-# elementwise arithmetic (numpy broadcasting allowed; backward unbroadcasts)
+# arithmetic and shape manipulation (operands of equal shape; no broadcasting)
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
-    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-    return _make(
-        data,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
-    )
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-    return _make(
-        data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        ),
-    )
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add needs operands of equal shape, got {a.data.shape} + {b.data.shape}")
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def scale(a, c: float) -> Tensor:
@@ -135,29 +90,23 @@ def scale(a, c: float) -> Tensor:
     return _make(a.data * c, (a,), lambda g: (g * c,))
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.sqrt(a.data)
-    return _make(data, (a,), lambda g: (g / (2.0 * data),))
+def weighted_sum(x, weights) -> Tensor:
+    """The scalar ``sum(x * weights)`` for a constant array ``weights`` of
+    the shape of ``x``."""
+    x = as_tensor(x)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != x.data.shape:
+        raise ShapeError(f"weighted_sum got {x.data.shape} vs weights {weights.shape}")
+    return _make(np.asarray((x.data * weights).sum()), (x,), lambda g: (g * weights,))
 
-
-# ---------------------------------------------------------------------------
-# shape manipulation
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul needs 2-d operands, got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dims disagree: {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-
-    def backward_fn(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-        return ga, gb
-
-    return _make(data, (a, b), backward_fn)
+    return _make(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def transpose(a) -> Tensor:
@@ -179,27 +128,17 @@ def slice_view(a, key) -> Tensor:
     return _make(data, (a,), backward_fn)
 
 
-def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        g_expanded = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_expanded, a.data.shape).copy(),)
-
-    return _make(data, (a,), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # neural-net primitives
 
+def _log_softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def log_softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - log_norm
+    y = _log_softmax(x.data, axis)
 
     def backward_fn(g):
         return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
@@ -275,30 +214,23 @@ def embedding_lookup(table, ids) -> Tensor:
     return _make(data, (table,), backward_fn)
 
 
-def cross_entropy(logits, target_ids, ignore_id: int | None = None) -> Tensor:
-    """Mean negative log-likelihood over positions whose target is not
-    ``ignore_id``; exactly zero (with zero gradient) if all are ignored."""
+def cross_entropy(logits, target_ids) -> Tensor:
+    """Mean negative log-likelihood of one target id per row of the logits."""
     logits = as_tensor(logits)
     targets = np.asarray(target_ids, dtype=np.int64)
     if logits.data.ndim != 2 or targets.ndim != 1 or logits.data.shape[0] != targets.shape[0]:
         raise ShapeError(f"cross_entropy got logits {logits.data.shape}, targets {targets.shape}")
-    keep = np.ones_like(targets, dtype=bool) if ignore_id is None else targets != ignore_id
-    n_eff = int(keep.sum())
-    if n_eff == 0:
-        return _make(np.zeros(()), (logits,), lambda g: (np.zeros_like(logits.data),))
-    vocab = logits.data.shape[1]
-    if targets[keep].min() < 0 or targets[keep].max() >= vocab:
+    n, vocab = logits.data.shape
+    if targets.min() < 0 or targets.max() >= vocab:
         raise IndexError("target id outside the vocabulary")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    rows = np.arange(targets.shape[0])
-    loss = -log_probs[rows[keep], targets[keep]].sum() / n_eff
+    log_probs = _log_softmax(logits.data, axis=1)
+    rows = np.arange(n)
+    loss = -log_probs[rows, targets].sum() / n
 
     def backward_fn(g):
         grad = np.exp(log_probs)
         grad[rows, targets] -= 1.0
-        grad[~keep] = 0.0
-        return (grad * (g / n_eff),)
+        return (grad * (g / n),)
 
     return _make(np.asarray(loss), (logits,), backward_fn)
 
@@ -311,11 +243,20 @@ def cosine_cost(a, b, eps: float = 1e-12) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
         raise ShapeError(f"cosine_cost got {a.data.shape} vs {b.data.shape}")
-    dots = matmul(a, transpose(b))
-    norm_a = sqrt(reduce_sum(mul(a, a), axis=1, keepdims=True))
-    norm_b = sqrt(reduce_sum(mul(b, b), axis=1, keepdims=True))
-    denom = add(matmul(norm_a, transpose(norm_b)), Tensor(eps))
-    return add(scale(div(dots, denom), -1.0), Tensor(1.0))
+    norm_a = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
+    norm_b = np.sqrt((b.data * b.data).sum(axis=1, keepdims=True))
+    dots = a.data @ b.data.T
+    denom = norm_a @ norm_b.T + eps
+
+    def backward_fn(g):
+        g_dots = -g / denom
+        g_denom = g * dots / (denom * denom)
+        # d|a_i| / d a_i = a_i / |a_i|, and likewise for b
+        g_a = g_dots @ b.data + (g_denom @ norm_b) * a.data / norm_a
+        g_b = g_dots.T @ a.data + (g_denom.T @ norm_a) * b.data / norm_b
+        return g_a, g_b
+
+    return _make(1.0 - dots / denom, (a, b), backward_fn)
 
 
 def _ffn_forward(x, gain, bias, w1, b1, w2, b2, slope: bool = False):

@@ -154,6 +154,7 @@ def cmd_pretrain(args) -> int:
         cfg.seed = args.seed
     if args.weights is not None:
         cfg.weights = _parse_weights(args.weights)
+    train_cfg = cfg.train_config("pretrain")
     corpus = load_corpus(args.corpus)
     if not corpus:
         raise EmptyCorpus(f"corpus {args.corpus} holds no pairs")
@@ -162,7 +163,7 @@ def cmd_pretrain(args) -> int:
     model = build_model(vocab, *cfg.configs(), seed=cfg.seed)
     out_dir = Path(args.out)
     _write_resolved_config(cfg, out_dir)
-    train(corpus, model, cfg.train_config("pretrain"), out_dir)
+    train(corpus, model, train_cfg, out_dir)
     return 0
 
 
@@ -170,6 +171,7 @@ def cmd_finetune(args) -> int:
     cfg = RunConfig.from_file(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+    train_cfg = cfg.train_config("finetune")
     corpus = load_corpus(args.corpus)
     if not corpus:
         raise EmptyCorpus(f"corpus {args.corpus} holds no pairs")
@@ -179,16 +181,17 @@ def cmd_finetune(args) -> int:
     init_model_from_checkpoint(model, args.init)
     out_dir = Path(args.out)
     _write_resolved_config(cfg, out_dir)
-    train(corpus, model, cfg.train_config("finetune"), out_dir)
+    train(corpus, model, train_cfg, out_dir)
     return 0
 
 
 def cmd_generate(args) -> int:
+    cfg = RunConfig.from_file(args.config)  # only its beam settings: the model is the checkpoint's
     model = load_checkpoint(args.ckpt)
     corpus = load_corpus(args.input)
     beam = BeamConfig(
-        beam_size=args.beam,
-        length_penalty=args.length_penalty,
+        beam_size=cfg.beam_size if args.beam is None else args.beam,
+        length_penalty=cfg.length_penalty if args.length_penalty is None else args.length_penalty,
         max_len=model.decoder_config.max_output_len,
     )
     lines = [" ".join(model.generate_text(pair, beam)) for pair in corpus]
@@ -296,8 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="decode texts for a corpus of graphs")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--input", required=True, help="corpus file; text fields are ignored")
-    p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--length-penalty", type=float, default=1.0)
+    p.add_argument("--config", default=None,
+                   help="JSON run config; only beam_size and length_penalty are read")
+    p.add_argument("--beam", type=int, default=None, help="overrides the config's beam_size")
+    p.add_argument("--length-penalty", type=float, default=None,
+                   help="overrides the config's length_penalty")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 

@@ -14,11 +14,11 @@ from .autograd import (
     _attention_forward,
     _ffn_forward,
     _layer_norm_forward,
+    _log_softmax,
     _split_heads,
     add,
     embedding_lookup,
     layer_norm,
-    log_softmax,
     matmul,
     slice_view,
     transpose,
@@ -60,7 +60,7 @@ class BeamConfig:
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
-        if self.length_penalty < 0:
+        if not self.length_penalty >= 0:  # NaN too
             raise ValueError("length_penalty must be >= 0")
 
 
@@ -288,7 +288,7 @@ def generate(
             x = _attention_forward(x[:, 0], *cross, heads, kv=cross_kv[layer], blocked=blocked)[0]
             x = _ffn_forward(x, *ffn)[0]
         states = _layer_norm_forward(x, w["dec.final_ln.g"], w["dec.final_ln.b"])[0]
-        return log_softmax(states @ tok_emb.T, axis=-1).data
+        return _log_softmax(states @ tok_emb.T, axis=-1)
 
     effective = BeamConfig(
         beam_size=beam.beam_size,

@@ -188,27 +188,6 @@ def pooling_matrices(inp: EncoderInput, length: int) -> tuple[np.ndarray, np.nda
     return p_ent, p_rel
 
 
-def structure_aware_attention(
-    z: Tensor,
-    q_grid: Tensor,
-    store: ParamStore,
-    prefix: str,
-    num_heads: int,
-) -> Tensor:
-    """Relation-biased attention among entities.
-
-    Per head, the logit for (i, j) is dot(z_i Wqs, z_j Wks + q_ij Wkr)/sqrt(d_k)
-    and the aggregated value is sum_j beta_ij (z_j Wvs + q_ij Wvr); head
-    outputs are concatenated with no extra projection.
-    """
-    return relation_biased_attention_op(
-        z, q_grid,
-        store[f"{prefix}.wqs"], store[f"{prefix}.wks"], store[f"{prefix}.wvs"],
-        store[f"{prefix}.wkr"], store[f"{prefix}.wvr"],
-        num_heads,
-    )
-
-
 def scatter_matrix(inp: EncoderInput, length: int) -> np.ndarray:
     """Constant (len, |V|) 0/1 matrix mapping entity vectors onto their
     token positions."""
@@ -253,7 +232,9 @@ def encode(inp: EncoderInput, cfg: EncoderConfig, store: ParamStore) -> Tensor:
                 z, q_grid = matmul(pool_ent, h), matmul(pool_rel, h)
             else:
                 z, q_grid = rel_units
-            z_tilde = structure_aware_attention(z, q_grid, store, f"{p}.agg", cfg.num_heads)
+            z_tilde = relation_biased_attention_op(
+                z, q_grid, *(store[f"{p}.agg.{n}"] for n in AGG_WEIGHT_NAMES), cfg.num_heads
+            )
             h = add(h, matmul(scatter, z_tilde))
         x = ffn_op(h, *sublayer_params(store, f"{p}.ln2", f"{p}.ffn", FFN_WEIGHTS))
     return layer_norm(x, store["enc.final_ln.g"], store["enc.final_ln.b"])

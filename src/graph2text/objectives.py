@@ -17,9 +17,9 @@ from .autograd import (
     cross_entropy,
     embedding_lookup,
     matmul,
-    mul,
-    reduce_sum,
     scale,
+    slice_view,
+    weighted_sum,
 )
 from .data import GraphTextPair, linearize, unit_sequence
 from .decoder import lm_logits, teacher_forced_states
@@ -198,7 +198,7 @@ def alignment_embeddings(model: Seq2SeqModel, pair: GraphTextPair) -> tuple[Tens
     dec_states = teacher_forced_states(
         targets, enc_states, model.store, model.decoder_config, inp.padding
     )
-    text_vectors = dec_states[0 : pair.n]
+    text_vectors = slice_view(dec_states, slice(0, pair.n))
     return graph_vectors, text_vectors
 
 
@@ -222,7 +222,7 @@ def loss_ot_alignment(
         frozen_plan = ipot(costs.data, a, b, cfg)
     elif frozen_plan.matrix.shape != costs.shape:
         raise ShapeError("frozen plan shape does not match the cost matrix")
-    return reduce_sum(mul(costs, Tensor(frozen_plan.matrix)))
+    return weighted_sum(costs, frozen_plan.matrix)
 
 
 def loss_finetune(model: Seq2SeqModel, pair: GraphTextPair) -> Tensor:

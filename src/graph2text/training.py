@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import ParamStore, backward
+from .autograd import ParamStore, add, backward, scale
 from .encoder import require_sizes
 from .errors import CheckpointError, EmptyCorpus, NumericError, UsageError
 from .model import ModelSettings, Seq2SeqModel, build_model
@@ -43,10 +43,18 @@ class TrainConfig:
     checkpoint_every: int = 1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        # each bound keeps the update finite and descending; written so that
+        # NaN fails it too
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise ValueError("warmup_ratio must lie in [0, 1]")
+        if not self.max_grad_norm > 0:
+            raise ValueError(f"max_grad_norm must be positive, got {self.max_grad_norm}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
+        if not all(0.0 <= beta < 1.0 for beta in self.adam_betas):
+            raise ValueError(f"adam_betas must each lie in [0, 1), got {self.adam_betas}")
         if self.task not in (TASK_PRETRAIN, TASK_FINETUNE):
             raise ValueError(f"unknown task {self.task!r}")
         require_sizes(self, ("batch_size", "epochs", "checkpoint_every"))
@@ -170,8 +178,8 @@ def train(
                             sums["l_text"] += loss.item()
                     except NumericError as exc:
                         raise NumericError(f"step {step}, pair {idx}: {exc}") from exc
-                    total = loss if total is None else total + loss
-                mean_loss = total * (1.0 / len(batch))
+                    total = loss if total is None else add(total, loss)
+                mean_loss = scale(total, 1.0 / len(batch))
                 backward(mean_loss)
                 norm = clip_gradients(model.store, cfg.max_grad_norm)
                 lr = lr_at(step, total_steps, cfg)

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from graph2text.autograd import Tensor, add, backward, div, embedding_lookup, matmul, reduce_sum
+from graph2text.autograd import Tensor, add, backward, embedding_lookup, matmul, scale
 from graph2text.data import GraphTextPair, KnowledgeGraph, find_entity_mentions
 
 
@@ -29,9 +29,10 @@ def three_position_pair() -> GraphTextPair:
 
 def unit_mean(h: Tensor, positions) -> Tensor:
     """Reference pooling of one unit: the (1, d) sum of the rows of ``h`` at
-    the 1-based ``positions``, divided by their count."""
+    the 1-based ``positions``, then scaled by one over their count (the
+    pooling matrices weight each row first and sum after)."""
     rows = embedding_lookup(h, np.asarray(sorted(positions), dtype=np.int64) - 1)
-    return div(reduce_sum(rows, axis=0, keepdims=True), Tensor(float(len(positions))))
+    return scale(matmul(Tensor(np.ones((1, len(positions)))), rows), 1.0 / len(positions))
 
 
 def rows_at(rows: dict[int, Tensor], count: int) -> Tensor:

@@ -6,8 +6,10 @@ import pytest
 from graph2text import cli
 from graph2text.autograd import GradCheckReport
 from graph2text.cli import RunConfig, main
-from graph2text.model import ModelSettings, build_model
+from graph2text.data import load_corpus
+from graph2text.model import ModelSettings, Seq2SeqModel, build_model
 from graph2text.synth import gradcheck_pair
+from graph2text.training import save_checkpoint
 from graph2text.vocab import build_vocab
 
 TINY_CONFIG = {
@@ -109,6 +111,20 @@ class TestPretrain:
         assert code == 1
         assert f"{field} must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "o" / "log.jsonl").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("adam_eps", 0.0, "adam_eps must be positive, got 0.0"),
+        ("adam_beta1", 1.0, "adam_betas must each lie in [0, 1), got (1.0, 0.999)"),
+        ("adam_beta2", 1.0, "adam_betas must each lie in [0, 1), got (0.9, 1.0)"),
+        ("max_grad_norm", -1.0, "max_grad_norm must be positive, got -1.0"),
+    ])
+    def test_update_breaking_setting_exits_1(self, tmp_path, corpus_file, key, value, message, capsys):
+        cfg = write_config(tmp_path / "cfg.json", **{key: value})
+        code = main(["pretrain", "--config", str(cfg),
+                     "--corpus", str(corpus_file), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value, field", [
         ("num_heads", 0, "num_heads"), ("d_model", 0, "d_model"),
@@ -249,6 +265,52 @@ class TestFinetuneAndGenerate:
                      "--out", str(tmp_path / "h")])
         assert code == 1
         assert "manifest 'model' lacks 'd_ff'" in capsys.readouterr().err
+
+
+class TestGenerateBeamSettings:
+    """``generate`` reads beam_size and length_penalty from ``--config``;
+    ``--beam`` and ``--length-penalty`` override them when given."""
+
+    @pytest.fixture
+    def run(self, tmp_path, corpus_file, monkeypatch):
+        model = build_model(build_vocab(load_corpus(corpus_file)), *RunConfig(**TINY_CONFIG).configs())
+        ckpt = save_checkpoint(model, tmp_path / "ckpt")
+        beams = []
+
+        def spy(self, pair_or_graph, beam):
+            beams.append((beam.beam_size, beam.length_penalty))
+            return ["x"]
+
+        monkeypatch.setattr(Seq2SeqModel, "generate_text", spy)
+
+        def run(*extra):
+            beams.clear()
+            code = main(["generate", "--ckpt", str(ckpt), "--input", str(corpus_file),
+                         "--out", str(tmp_path / "hyp.txt"), *extra])
+            return code, sorted(set(beams))  # one beam for all four records
+
+        return run
+
+    def test_defaults_without_config(self, run):
+        assert run() == (0, [(5, 1.0)])
+
+    def test_config_read(self, run, tmp_path):
+        cfg = write_config(tmp_path / "beam.json", beam_size=3, length_penalty=0.5)
+        assert run("--config", str(cfg)) == (0, [(3, 0.5)])
+
+    def test_flags_override_config(self, run, tmp_path):
+        cfg = write_config(tmp_path / "beam.json", beam_size=3, length_penalty=0.5)
+        assert run("--config", str(cfg), "--beam", "2") == (0, [(2, 0.5)])
+        assert run("--config", str(cfg), "--length-penalty", "2.0") == (0, [(3, 2.0)])
+
+    @pytest.mark.parametrize("key, value", [
+        ("beam_size", 0), ("length_penalty", -1.0), ("length_penalty", float("nan")),
+    ])
+    def test_bad_beam_setting_exits_1(self, run, tmp_path, key, value, capsys):
+        cfg = write_config(tmp_path / "beam.json", **{key: value})
+        assert run("--config", str(cfg)) == (1, [])
+        assert f"{key} must be >= " in capsys.readouterr().err
+        assert not (tmp_path / "hyp.txt").exists()
 
 
 class TestFullPipeline:

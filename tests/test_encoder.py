@@ -10,12 +10,13 @@ from graph2text.autograd import (
     grad_check,
     matmul,
     multihead_attention_op,
-    mul,
     no_grad,
-    reduce_sum,
+    relation_biased_attention_op,
+    weighted_sum,
 )
 from graph2text.data import linearize
 from graph2text.encoder import (
+    AGG_WEIGHT_NAMES,
     ATTENTION_WEIGHTS,
     EncoderConfig,
     EncoderInput,
@@ -23,7 +24,6 @@ from graph2text.encoder import (
     key_mask,
     pooling_matrices,
     scatter_matrix,
-    structure_aware_attention,
     sublayer_params,
 )
 from graph2text.errors import EmptyPoolError, LengthError
@@ -174,13 +174,18 @@ class TestPooling:
             pooling_matrices(bad, len(inp.ids))
 
 
+def layer_zero_agg(model) -> list:
+    """Encoder layer 0's relation-biased attention weights, in op order."""
+    return [model.store[f"enc.0.agg.{name}"] for name in AGG_WEIGHT_NAMES]
+
+
 class TestStructureAttention:
     def test_single_entity_no_loop(self):
         model, corpus = build_toy_model()
         rng = np.random.default_rng(6)
         z = Tensor(rng.normal(size=(1, 16)))
         q = Tensor(np.zeros((1, 16)))
-        out = structure_aware_attention(z, q, model.store, "enc.0.agg", 2)
+        out = relation_biased_attention_op(z, q, *layer_zero_agg(model), 2)
         # softmax over a single key is 1; with q = 0 the output is z @ Wvs
         assert np.allclose(out.data, z.data @ model.store["enc.0.agg.wvs"].data, atol=1e-12)
 
@@ -191,7 +196,7 @@ class TestStructureAttention:
         rng = np.random.default_rng(7)
         h = Tensor(rng.normal(size=(len(inp.ids), 16)))
         z, q = pooled(h, inp)
-        out = structure_aware_attention(z, q, model.store, "enc.0.agg", 2)
+        out = relation_biased_attention_op(z, q, *layer_zero_agg(model), 2)
         assert np.array_equal(out.data, np.zeros((3, 16)))
 
     def test_gradients_of_all_five_weights(self):
@@ -206,14 +211,10 @@ class TestStructureAttention:
         for name in ("wqs", "wks", "wvs", "wkr", "wvr"):
             store.add(name, rng.normal(size=(16, 16)) * 0.3)
 
-        class Shim:
-            def __getitem__(self, key):
-                return store[key.split(".")[-1]]
-
         def f():
             z, q = pooled(h, inp)
-            out = structure_aware_attention(z, q, Shim(), "agg", 2)
-            return reduce_sum(mul(out, Tensor(readout)))
+            out = relation_biased_attention_op(z, q, *(store[n] for n in AGG_WEIGHT_NAMES), 2)
+            return weighted_sum(out, readout)
 
         report = grad_check(f, store, tol=1e-4)
         assert report.passed, report.format()
@@ -292,7 +293,7 @@ class TestEncode:
         readout = rng.normal(size=(len(inp.ids), 8))
 
         def f():
-            return reduce_sum(mul(encode(inp, model.encoder_config, model.store), Tensor(readout)))
+            return weighted_sum(encode(inp, model.encoder_config, model.store), readout)
 
         report = grad_check(f, model.store, tol=1e-4)
         assert report.passed, report.worst()
@@ -306,7 +307,7 @@ class TestEncode:
         inp = toy_input(model, pair, pair.text)
         assert max(len(p) for p in inp.entity_positions.values()) >= 3
         store, nv = model.store, inp.num_entities
-        readout = Tensor(np.random.default_rng(15).normal(size=(len(inp.ids), 16)))
+        readout = np.random.default_rng(15).normal(size=(len(inp.ids), 16))
 
         def reference_units():
             ent_rows = embedding_lookup(store["struct.ent_emb"], np.asarray(inp.ids))
@@ -321,12 +322,12 @@ class TestEncode:
 
         def build():
             outputs.append(encode(inp, model.encoder_config, store))
-            return reduce_sum(mul(outputs[-1], readout))
+            return weighted_sum(outputs[-1], readout)
 
         grads = store_gradients(store, build)
         units = []
-        original = encoder.structure_aware_attention
-        monkeypatch.setattr(encoder, "structure_aware_attention",
+        original = encoder.relation_biased_attention_op
+        monkeypatch.setattr(encoder, "relation_biased_attention_op",
                             lambda z, q_grid, *rest: original(*units[-1], *rest))
 
         def build_reference():
@@ -373,7 +374,7 @@ class TestEncode:
         readout = np.random.default_rng(14).normal(size=(len(inp.ids), 16))
 
         def f():
-            return reduce_sum(mul(encode(inp, model.encoder_config, model.store), Tensor(readout)))
+            return weighted_sum(encode(inp, model.encoder_config, model.store), readout)
 
         report = grad_check(f, model.store, tol=1e-4)
         assert report.passed, report.worst()

@@ -29,6 +29,24 @@ class TestTrainConfig:
             TrainConfig(**{field: 0})
         TrainConfig(**{field: 1})
 
+    # each of these writes non-finite parameters or ascends the loss
+    @pytest.mark.parametrize("overrides, message", [
+        ({"learning_rate": float("nan")}, "learning_rate must be positive"),
+        ({"adam_eps": 0.0}, "adam_eps must be positive"),
+        ({"adam_eps": float("nan")}, "adam_eps must be positive"),
+        ({"adam_betas": (1.0, 0.999)}, "adam_betas must each lie in"),
+        ({"adam_betas": (0.9, 1.0)}, "adam_betas must each lie in"),
+        ({"adam_betas": (-0.1, 0.999)}, "adam_betas must each lie in"),
+        ({"max_grad_norm": 0.0}, "max_grad_norm must be positive"),
+        ({"max_grad_norm": -1.0}, "max_grad_norm must be positive"),
+    ])
+    def test_update_breaking_settings_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            TrainConfig(**overrides)
+
+    def test_optimizer_bounds_inclusive_edges_accepted(self):
+        TrainConfig(adam_betas=(0.0, 0.0), adam_eps=1e-300, max_grad_norm=1e-300)
+
 
 class TestLrSchedule:
     def setup_method(self):
