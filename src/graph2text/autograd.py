@@ -300,54 +300,28 @@ def relation_biased_attention_op(z, q_grid, wqs, wks, wvs, wkr, wvr, num_heads: 
         raise ShapeError(f"relation grid {q_grid.data.shape} does not match {nv} entities")
     if d_model % num_heads != 0:
         raise ShapeError(f"d_model {d_model} not divisible by {num_heads} heads")
-    d_k = d_model // num_heads
-    scaling = 1.0 / math.sqrt(d_k)
-
-    def ent_heads(m):
-        return m.reshape(nv, num_heads, d_k).transpose(1, 0, 2)
-
-    def grid_heads(m):
-        return m.reshape(nv, nv, num_heads, d_k).transpose(2, 0, 1, 3)
-
-    zq = ent_heads(z.data @ wqs.data)
-    zk = ent_heads(z.data @ wks.data)
-    zv = ent_heads(z.data @ wvs.data)
-    qk = grid_heads(q_grid.data @ wkr.data)
-    qv = grid_heads(q_grid.data @ wvr.data)
-    keys = zk[:, None, :, :] + qk
-    vals = zv[:, None, :, :] + qv
-    logits = (zq[:, :, None, :] * keys).sum(axis=-1) * scaling
-    logits -= logits.max(axis=-1, keepdims=True)
-    exp = np.exp(logits)
-    beta = exp / exp.sum(axis=-1, keepdims=True)
-    pooled = (beta[..., None] * vals).sum(axis=2)
-    out = pooled.transpose(1, 0, 2).reshape(nv, d_model)
+    scaling = 1.0 / math.sqrt(d_model // num_heads)
+    # entity i is a batch of one query, (|V|, heads, 1, d_k), over its own row
+    # of keys and values, (|V|, heads, |V|, d_k): the entity keys and values,
+    # broadcast over i, plus the relation offsets of row i of the grid
+    q = _split_heads((z.data @ wqs.data)[:, None], num_heads)
+    keys, vals = (
+        _split_heads(z.data @ w_ent.data, num_heads)
+        + _split_heads((q_grid.data @ w_rel.data).reshape(nv, nv, d_model), num_heads)
+        for w_ent, w_rel in ((wks, wkr), (wvs, wvr))
+    )
+    probs, context = _softmax_attention(q, keys, vals, scaling)
 
     def backward_fn(g):
-        g_pooled = g.reshape(nv, num_heads, d_k).transpose(1, 0, 2)
-        g_beta = (g_pooled[:, :, None, :] * vals).sum(axis=-1)
-        g_vals = beta[..., None] * g_pooled[:, :, None, :]
-        g_logits = beta * (g_beta - (g_beta * beta).sum(axis=-1, keepdims=True))
-        g_logits *= scaling
-        g_zq = (g_logits[..., None] * keys).sum(axis=2)
-        g_keys = g_logits[..., None] * zq[:, :, None, :]
-
-        def unhead_ent(m):
-            return m.transpose(1, 0, 2).reshape(nv, d_model)
-
-        def unhead_grid(m):
-            return m.transpose(1, 2, 0, 3).reshape(nv * nv, d_model)
-
-        g_zq = unhead_ent(g_zq)
-        g_zk = unhead_ent(g_keys.sum(axis=1))
-        g_zv = unhead_ent(g_vals.sum(axis=1))
-        g_qk = unhead_grid(g_keys)
-        g_qv = unhead_grid(g_vals)
-        g_z = g_zq @ wqs.data.T + g_zk @ wks.data.T + g_zv @ wvs.data.T
-        g_qgrid = g_qk @ wkr.data.T + g_qv @ wvr.data.T
+        g_q, g_keys, g_vals = _softmax_attention_backward(
+            _split_heads(g[:, None], num_heads), q, keys, vals, probs, scaling
+        )
+        g_zq = _merge_heads(g_q).reshape(nv, d_model)
+        g_zk, g_zv = _merge_heads(g_keys.sum(axis=0)), _merge_heads(g_vals.sum(axis=0))
+        g_qk, g_qv = (_merge_heads(m).reshape(nv * nv, d_model) for m in (g_keys, g_vals))
         return (
-            g_z,
-            g_qgrid,
+            g_zq @ wqs.data.T + g_zk @ wks.data.T + g_zv @ wvs.data.T,
+            g_qk @ wkr.data.T + g_qv @ wvr.data.T,
             z.data.T @ g_zq,
             z.data.T @ g_zk,
             z.data.T @ g_zv,
@@ -355,6 +329,7 @@ def relation_biased_attention_op(z, q_grid, wqs, wks, wvs, wkr, wvr, num_heads: 
             q_grid.data.T @ g_qv,
         )
 
+    out = _merge_heads(context).reshape(nv, d_model)
     return _make(out, (z, q_grid, wqs, wks, wvs, wkr, wvr), backward_fn)
 
 
@@ -382,6 +357,17 @@ def _softmax_attention(q, k, v, scaling: float, blocked=None):
     exp = np.exp(scores)
     probs = exp / exp.sum(axis=-1, keepdims=True)
     return probs, probs @ v
+
+
+def _softmax_attention_backward(g_context, q, k, v, probs, scaling: float):
+    """Gradients (q, k, v) of ``_softmax_attention``'s ``probs @ v`` whose
+    gradient is ``g_context``, each of the broadcast shape: a caller that
+    broadcast an operand sums its gradient over those axes. Blocked
+    positions have zero ``probs`` and so pass no gradient."""
+    g_probs = g_context @ v.swapaxes(-1, -2)
+    g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+    g_scores *= scaling
+    return g_scores @ k, g_scores.swapaxes(-1, -2) @ q, probs.swapaxes(-1, -2) @ g_context
 
 
 def _attention_forward(x, gain, bias, wq, wk, wv, wo, num_heads, kv=None, cache=None, blocked=None):
@@ -440,13 +426,9 @@ def multihead_attention_op(
     kv_rows = normed if self_attention else sources[1].data
 
     def backward_fn(g):
-        g_context = _split_heads(g @ wo.data.T, num_heads)
-        g_probs = g_context @ v.transpose(0, 2, 1)
-        g_v = _merge_heads(probs.transpose(0, 2, 1) @ g_context)
-        g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
-        g_scores *= scaling
-        g_q = _merge_heads(g_scores @ k)
-        g_k = _merge_heads(g_scores.transpose(0, 2, 1) @ q)
+        g_q, g_k, g_v = map(_merge_heads, _softmax_attention_backward(
+            _split_heads(g @ wo.data.T, num_heads), q, k, v, probs, scaling
+        ))
         g_normed = g_q @ wq.data.T
         g_kv_rows = g_k @ wk.data.T + g_v @ wv.data.T
         if self_attention:

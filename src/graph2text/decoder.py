@@ -62,6 +62,7 @@ class BeamConfig:
             raise ValueError("beam_size must be >= 1")
         if not self.length_penalty >= 0:  # NaN too
             raise ValueError("length_penalty must be >= 0")
+        require_sizes(self, ("max_len",))
 
 
 def init_decoder_params(store: ParamStore, cfg: DecoderConfig, rng) -> None:
@@ -88,30 +89,6 @@ def _sublayers(params, layer: int) -> tuple[list, list, list]:
     )
 
 
-def _decoder_states(
-    input_ids: np.ndarray,
-    encoder_states: Tensor,
-    store: ParamStore,
-    cfg: DecoderConfig,
-    encoder_padding: np.ndarray | None,
-) -> Tensor:
-    length = len(input_ids)
-    x = add(
-        embedding_lookup(store["tok_emb"], input_ids),
-        slice_view(store["dec.pos_emb"], slice(0, length)),
-    )
-    causal = np.triu(np.ones((length, length), dtype=bool), k=1)[None]
-    blocked = key_mask(encoder_padding)
-    # the sublayer ops are looked up on the encoder module, so that a wrapper
-    # installed there (as the bench trace does) sees the decoder's calls too
-    for layer in range(cfg.num_layers):
-        self_attn, cross, ffn = _sublayers(store, layer)
-        x = encoder.multihead_attention_op(x, None, *self_attn, cfg.num_heads, causal)
-        x = encoder.multihead_attention_op(x, encoder_states, *cross, cfg.num_heads, blocked)
-        x = encoder.ffn_op(x, *ffn)
-    return layer_norm(x, store["dec.final_ln.g"], store["dec.final_ln.b"])
-
-
 def lm_logits(states: Tensor, store: ParamStore) -> Tensor:
     """Project onto the vocabulary with the tied input embedding table."""
     return matmul(states, transpose(store["tok_emb"]))
@@ -134,8 +111,20 @@ def teacher_forced_states(
     n = len(target_ids)
     if n > cfg.max_output_len:
         raise LengthError(f"target length {n} exceeds max_output_len {cfg.max_output_len}")
-    input_ids = np.concatenate([[BOS_ID], target_ids[:-1]])
-    return _decoder_states(input_ids, encoder_states, store, cfg, encoder_padding)
+    x = add(
+        embedding_lookup(store["tok_emb"], np.concatenate([[BOS_ID], target_ids[:-1]])),
+        slice_view(store["dec.pos_emb"], slice(0, n)),
+    )
+    causal = np.triu(np.ones((n, n), dtype=bool), k=1)[None]
+    blocked = key_mask(encoder_padding)
+    # the sublayer ops are looked up on the encoder module, so that a wrapper
+    # installed there (as the bench trace does) sees the decoder's calls too
+    for layer in range(cfg.num_layers):
+        self_attn, cross, ffn = _sublayers(store, layer)
+        x = encoder.multihead_attention_op(x, None, *self_attn, cfg.num_heads, causal)
+        x = encoder.multihead_attention_op(x, encoder_states, *cross, cfg.num_heads, blocked)
+        x = encoder.ffn_op(x, *ffn)
+    return layer_norm(x, store["dec.final_ln.g"], store["dec.final_ln.b"])
 
 
 def decode_train(
@@ -192,12 +181,12 @@ def beam_search(step_logprobs, beam: BeamConfig, eos_id: int = EOS_ID) -> list[i
     """
 
     def penalized(logprob_sum: float, length: int) -> float:
-        return logprob_sum / (length ** beam.length_penalty) if length > 0 else logprob_sum
+        return logprob_sum / (length ** beam.length_penalty)
 
     # (logprob_sum, prefix, row of the last block holding its next-token log probs)
     live: list[tuple[float, list[int], int]] = [(0.0, [], 0)]
     greedy: tuple[float, list[int], int] | None = (0.0, [], 0) if beam.beam_size > 1 else None
-    greedy_result: tuple[float, list[int]] = (0.0, [])  # stays so only for max_len 0
+    greedy_result: tuple[float, list[int]] | None = None  # set when the rollout ends
     finished: list[tuple[float, list[int]]] = []
     parents, tokens = [0], [BOS_ID]
     for _ in range(beam.max_len):
@@ -237,7 +226,7 @@ def beam_search(step_logprobs, beam: BeamConfig, eos_id: int = EOS_ID) -> list[i
         live = [(total, seq, k) for k, (total, seq, _) in enumerate(live)]
         if greedy is not None:
             greedy = (greedy[0], greedy[1], len(live))
-    finished.extend((penalized(total, len(seq)), seq) for total, seq, _ in live if seq)
+    finished.extend((penalized(total, len(seq)), seq) for total, seq, _ in live)
     if beam.beam_size > 1:
         finished.append(greedy_result)
     finished.sort(key=lambda c: (-c[0], len(c[1]), c[1]))

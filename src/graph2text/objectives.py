@@ -38,8 +38,8 @@ class OTConfig:
     outer_n: int = 10
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not self.beta > 0:  # NaN too
+            raise ValueError(f"beta must be positive, got {self.beta}")
         if self.inner_k < 1 or self.outer_n < 1:
             raise ValueError("iteration counts must be >= 1")
 
@@ -246,7 +246,7 @@ def combined_pretrain_loss(
 
     Components with weight zero are skipped entirely and reported as zero.
     """
-    if any(w < 0 for w in weights):
+    if not all(w >= 0 for w in weights):  # NaN too
         raise ValueError("loss weights must be >= 0")
     w_text, w_graph, w_ot = weights
     zero = Tensor(0.0)

@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
         if not all(0.0 <= beta < 1.0 for beta in self.adam_betas):
             raise ValueError(f"adam_betas must each lie in [0, 1), got {self.adam_betas}")
+        if not all(0.0 <= w < math.inf for w in self.loss_weights):
+            raise ValueError(f"loss_weights must be finite and >= 0, got {self.loss_weights}")
         if self.task not in (TASK_PRETRAIN, TASK_FINETUNE):
             raise ValueError(f"unknown task {self.task!r}")
         require_sizes(self, ("batch_size", "epochs", "checkpoint_every"))

@@ -117,6 +117,9 @@ class TestPretrain:
         ("adam_beta1", 1.0, "adam_betas must each lie in [0, 1), got (1.0, 0.999)"),
         ("adam_beta2", 1.0, "adam_betas must each lie in [0, 1), got (0.9, 1.0)"),
         ("max_grad_norm", -1.0, "max_grad_norm must be positive, got -1.0"),
+        ("ot_beta", float("nan"), "beta must be positive, got nan"),
+        ("weights", [float("inf"), 1, 1], "loss_weights must be finite and >= 0, got (inf, 1.0, 1.0)"),
+        ("weights", [1.0, -1.0, 1.0], "loss_weights must be finite and >= 0, got (1.0, -1.0, 1.0)"),
     ])
     def test_update_breaking_setting_exits_1(self, tmp_path, corpus_file, key, value, message, capsys):
         cfg = write_config(tmp_path / "cfg.json", **{key: value})
@@ -124,6 +127,14 @@ class TestPretrain:
                      "--corpus", str(corpus_file), "--out", str(tmp_path / "o")])
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("weights", ["nan,1,1", "1,-1,1"])
+    def test_bad_weights_flag_exits_1(self, tmp_path, corpus_file, config_file, weights, capsys):
+        code = main(["pretrain", "--config", str(config_file), "--corpus", str(corpus_file),
+                     "--out", str(tmp_path / "o"), "--weights", weights])
+        assert code == 1
+        assert "error: loss_weights must be finite and >= 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value, field", [

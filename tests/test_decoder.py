@@ -117,6 +117,12 @@ def table_step_fn(table, vocab_size):
     return block_step(table_logprobs(table))
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_beam_config_rejects_max_len_below_one(max_len):
+    with pytest.raises(ValueError, match=f"^max_len must be at least 1, got {max_len}$"):
+        BeamConfig(beam_size=1, max_len=max_len)
+
+
 class TestBeamSearch:
     # hand-built 3-token world: ids 0 = filler, 1 = "a", EOS_ID = 2
     def _table(self):
@@ -272,20 +278,18 @@ class TestGenerate:
     def test_beam_one_matches_manual_greedy(self, setup):
         model, pair, enc = setup
         out = generate(enc, model.store, model.decoder_config, BeamConfig(beam_size=1, max_len=5))
-        from graph2text.decoder import lm_logits, _decoder_states
-        from graph2text.vocab import BOS_ID
+        from graph2text.decoder import lm_logits, teacher_forced_states
 
-        prefix = [BOS_ID]
         manual = []
         with no_grad():
             for _ in range(5):
-                states = _decoder_states(np.asarray(prefix), enc, model.store, model.decoder_config, None)
+                # the decoder reads <BOS> + manual; its last row predicts the next token
+                states = teacher_forced_states(manual + [EOS_ID], enc, model.store, model.decoder_config)
                 logits = lm_logits(states, model.store).data[-1]
                 token = int(np.argmax(logits))
                 if token == EOS_ID:
                     break
                 manual.append(token)
-                prefix.append(token)
         assert out == manual
 
 

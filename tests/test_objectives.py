@@ -120,6 +120,11 @@ class TestIpot:
             with pytest.raises(NumericError, match="beta"):
                 ipot(C, *uniform_marginals(4, 6), OTConfig(beta=1e-3))
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan")])
+    def test_beta_must_be_positive(self, beta):
+        with pytest.raises(ValueError, match="^beta must be positive"):
+            OTConfig(beta=beta)
+
     def test_plan_nonnegative(self):
         rng = np.random.default_rng(5)
         C = rng.uniform(0, 2, size=(4, 6))
@@ -355,6 +360,8 @@ class TestCombinedLoss:
         model, pair = toy
         with pytest.raises(ValueError):
             combined_pretrain_loss(model, pair, random.Random(0), (-1.0, 0.0, 0.0))
+        with pytest.raises(ValueError):  # a NaN weight would drop its component unseen
+            combined_pretrain_loss(model, pair, random.Random(0), (float("nan"), 1.0, 1.0))
 
     def test_all_components_nonnegative(self, toy):
         model, pair = toy

@@ -39,6 +39,9 @@ class TestTrainConfig:
         ({"adam_betas": (-0.1, 0.999)}, "adam_betas must each lie in"),
         ({"max_grad_norm": 0.0}, "max_grad_norm must be positive"),
         ({"max_grad_norm": -1.0}, "max_grad_norm must be positive"),
+        ({"loss_weights": (float("nan"), 1.0, 1.0)}, "loss_weights must be finite and >= 0"),
+        ({"loss_weights": (float("inf"), 1.0, 1.0)}, "loss_weights must be finite and >= 0"),
+        ({"loss_weights": (1.0, -1.0, 1.0)}, "loss_weights must be finite and >= 0"),
     ])
     def test_update_breaking_settings_rejected(self, overrides, message):
         with pytest.raises(ValueError, match=f"^{message}"):
