@@ -284,53 +284,64 @@ def ffn_op(x, gain, bias, w1, b1, w2, b2) -> Tensor:
     return _make(out, operands, backward_fn)
 
 
-def relation_biased_attention_op(z, q_grid, wqs, wks, wvs, wkr, wvr, num_heads: int) -> Tensor:
-    """Attention among entity vectors with relation-dependent key/value
-    offsets, fused into one node.
+def relation_biased_attention_op(
+    h, ent_rows, rel_rows, pools, wqs, wks, wvs, wkr, wvr, num_heads: int
+) -> Tensor:
+    """The aggregation sublayer ``h + S @ attention(z, q)``, fused into one node.
 
-    ``z`` is (|V|, d) and ``q_grid`` is (|V|*|V|, d) in row-major (i, j)
-    order. Per head: logit(i, j) = dot(z_i Wqs, z_j Wks + q_ij Wkr)/sqrt(d_k),
+    ``pools`` holds constant arrays (P, grid rows, S): the (|V|+|E|, len)
+    unit mean-pooling matrix, each relation's row in the row-major (i, j)
+    grid, and the (len, |V|) scatter of entities onto their tokens. Entity
+    vectors are z = P[:|V|] @ ``ent_rows``; the (|V|*|V|, d) relation grid q
+    is zero but at the grid rows, which hold P[|V|:] @ ``rel_rows``. Per
+    head: logit(i, j) = dot(z_i Wqs, z_j Wks + q_ij Wkr)/sqrt(d_k),
     output(i) = sum_j softmax_j(logits)(i, j) * (z_j Wvs + q_ij Wvr). Head
     outputs are concatenated; there is no extra output projection.
     """
-    z, q_grid = as_tensor(z), as_tensor(q_grid)
-    wqs, wks, wvs, wkr, wvr = (as_tensor(t) for t in (wqs, wks, wvs, wkr, wvr))
-    nv, d_model = z.data.shape
-    if q_grid.data.shape != (nv * nv, d_model):
-        raise ShapeError(f"relation grid {q_grid.data.shape} does not match {nv} entities")
+    operands = tuple(map(as_tensor, (h, ent_rows, rel_rows, wqs, wks, wvs, wkr, wvr)))
+    h, ent_rows, rel_rows, wqs, wks, wvs, wkr, wvr = operands
+    pool, grid_rows, scatter = pools
+    nv, d_model = scatter.shape[1], h.data.shape[1]
+    if pool.shape[0] != nv + len(grid_rows) or scatter.shape[0] != h.data.shape[0]:
+        raise ShapeError(f"pooling {pool.shape} and scatter {scatter.shape} disagree")
     if d_model % num_heads != 0:
         raise ShapeError(f"d_model {d_model} not divisible by {num_heads} heads")
     scaling = 1.0 / math.sqrt(d_model // num_heads)
+    p_ent, p_rel = pool[:nv], pool[nv:]
+    z = p_ent @ ent_rows.data
+    q_grid = np.zeros((nv * nv, d_model))
+    q_grid[grid_rows] = p_rel @ rel_rows.data
     # entity i is a batch of one query, (|V|, heads, 1, d_k), over its own row
     # of keys and values, (|V|, heads, |V|, d_k): the entity keys and values,
     # broadcast over i, plus the relation offsets of row i of the grid
-    q = _split_heads((z.data @ wqs.data)[:, None], num_heads)
+    q = _split_heads((z @ wqs.data)[:, None], num_heads)
     keys, vals = (
-        _split_heads(z.data @ w_ent.data, num_heads)
-        + _split_heads((q_grid.data @ w_rel.data).reshape(nv, nv, d_model), num_heads)
+        _split_heads(z @ w_ent.data, num_heads)
+        + _split_heads((q_grid @ w_rel.data).reshape(nv, nv, d_model), num_heads)
         for w_ent, w_rel in ((wks, wkr), (wvs, wvr))
     )
     probs, context = _softmax_attention(q, keys, vals, scaling)
 
     def backward_fn(g):
         g_q, g_keys, g_vals = _softmax_attention_backward(
-            _split_heads(g[:, None], num_heads), q, keys, vals, probs, scaling
+            _split_heads((scatter.T @ g)[:, None], num_heads), q, keys, vals, probs, scaling
         )
         g_zq = _merge_heads(g_q).reshape(nv, d_model)
         g_zk, g_zv = _merge_heads(g_keys.sum(axis=0)), _merge_heads(g_vals.sum(axis=0))
         g_qk, g_qv = (_merge_heads(m).reshape(nv * nv, d_model) for m in (g_keys, g_vals))
         return (
-            g_zq @ wqs.data.T + g_zk @ wks.data.T + g_zv @ wvs.data.T,
-            g_qk @ wkr.data.T + g_qv @ wvr.data.T,
-            z.data.T @ g_zq,
-            z.data.T @ g_zk,
-            z.data.T @ g_zv,
-            q_grid.data.T @ g_qk,
-            q_grid.data.T @ g_qv,
+            g,
+            p_ent.T @ (g_zq @ wqs.data.T + g_zk @ wks.data.T + g_zv @ wvs.data.T),
+            p_rel.T @ (g_qk @ wkr.data.T + g_qv @ wvr.data.T)[grid_rows],
+            z.T @ g_zq,
+            z.T @ g_zk,
+            z.T @ g_zv,
+            q_grid.T @ g_qk,
+            q_grid.T @ g_qv,
         )
 
-    out = _merge_heads(context).reshape(nv, d_model)
-    return _make(out, (z, q_grid, wqs, wks, wvs, wkr, wvr), backward_fn)
+    out = h.data + scatter @ _merge_heads(context).reshape(nv, d_model)
+    return _make(out, operands, backward_fn)
 
 
 def _split_heads(m: np.ndarray, num_heads: int) -> np.ndarray:

@@ -41,6 +41,7 @@ from .autograd import cosine_cost, no_grad
 from .synth import gradcheck_pair, toy_configs
 from .training import (
     TrainConfig,
+    checkpoint_vocab,
     init_model_from_checkpoint,
     load_checkpoint,
     train,
@@ -82,6 +83,13 @@ class RunConfig(ModelSettings):
     beam_size: int = 5
     length_penalty: float = 1.0
     checkpoint_every: int = 1
+
+    def __post_init__(self):
+        # every key is checked, whichever command reads the config
+        super().__post_init__()
+        self.configs()
+        self.train_config("pretrain")
+        BeamConfig(self.beam_size, self.length_penalty, self.max_output_len)
 
     @classmethod
     def from_file(cls, path: str | None) -> "RunConfig":
@@ -148,37 +156,24 @@ def _write_resolved_config(cfg: RunConfig, out_dir: Path) -> None:
         json.dump(cfg.as_dict(), fh, indent=1, sort_keys=True)
 
 
-def cmd_pretrain(args) -> int:
+def cmd_train(args) -> int:
+    """``pretrain``, or ``finetune`` from the checkpoint ``--init``: the
+    subcommand names the task."""
     cfg = RunConfig.from_file(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.weights is not None:
+    if getattr(args, "weights", None) is not None:
         cfg.weights = _parse_weights(args.weights)
-    train_cfg = cfg.train_config("pretrain")
+    train_cfg = cfg.train_config(args.command)
     corpus = load_corpus(args.corpus)
     if not corpus:
         raise EmptyCorpus(f"corpus {args.corpus} holds no pairs")
     _validate_lengths(cfg, corpus)
-    vocab = build_vocab(corpus, min_freq=cfg.min_freq)
+    finetune = args.command == "finetune"
+    vocab = checkpoint_vocab(args.init) if finetune else build_vocab(corpus, min_freq=cfg.min_freq)
     model = build_model(vocab, *cfg.configs(), seed=cfg.seed)
-    out_dir = Path(args.out)
-    _write_resolved_config(cfg, out_dir)
-    train(corpus, model, train_cfg, out_dir)
-    return 0
-
-
-def cmd_finetune(args) -> int:
-    cfg = RunConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    train_cfg = cfg.train_config("finetune")
-    corpus = load_corpus(args.corpus)
-    if not corpus:
-        raise EmptyCorpus(f"corpus {args.corpus} holds no pairs")
-    _validate_lengths(cfg, corpus)
-    init_model = load_checkpoint(args.init)
-    model = build_model(init_model.vocab, *cfg.configs(), seed=cfg.seed)
-    init_model_from_checkpoint(model, args.init)
+    if finetune:
+        init_model_from_checkpoint(model, args.init)
     out_dir = Path(args.out)
     _write_resolved_config(cfg, out_dir)
     train(corpus, model, train_cfg, out_dir)
@@ -286,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--weights", default=None, help="w_text,w_graph,w_ot override")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_pretrain)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("finetune", help="fine-tune from a checkpoint")
     p.add_argument("--config", default=None)
@@ -294,13 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", required=True, help="checkpoint directory to start from")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_finetune)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="decode texts for a corpus of graphs")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--input", required=True, help="corpus file; text fields are ignored")
     p.add_argument("--config", default=None,
-                   help="JSON run config; only beam_size and length_penalty are read")
+                   help="JSON run config; only beam_size and length_penalty are used")
     p.add_argument("--beam", type=int, default=None, help="overrides the config's beam_size")
     p.add_argument("--length-penalty", type=float, default=None,
                    help="overrides the config's length_penalty")

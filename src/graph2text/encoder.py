@@ -1,14 +1,13 @@
 """Structure-aware Transformer encoder.
 
 Each layer runs vanilla multi-head self-attention, then (for the "joint"
-variant) an aggregation block that pools token states into entity/relation
+variant) an aggregation sublayer that pools token states into entity/relation
 vectors, attends among entities with relation-biased attention, and adds the
 result back onto entity token positions, then the feed-forward sublayer.
-Sublayers are pre-layer-norm, and each one (layer norm, attention or
-feed-forward, residual) is a single fused autograd node. Variant "seq"
-skips the aggregation block; variant "rel" feeds learned entity/relation
-embedding tables through the same relation-biased attention instead of
-pooled states.
+Each sublayer, with its residual and (attention, feed-forward) its pre-layer
+norm, is a single fused autograd node. Variant "seq" skips the aggregation
+sublayer; variant "rel" pools rows of learned entity/relation embedding
+tables through the same sublayer instead of token states.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .autograd import (
     embedding_lookup,
     ffn_op,
     layer_norm,
-    matmul,
     multihead_attention_op,
     relation_biased_attention_op,
     slice_view,
@@ -160,38 +158,35 @@ def init_encoder_params(store: ParamStore, cfg: EncoderConfig, vocab_size: int, 
         store.add("struct.rel_emb", rng.normal(0.0, 0.02, size=(vocab_size, cfg.d_model)))
 
 
-def pooling_matrices(inp: EncoderInput, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Constant mean-pooling matrices: (|V|, len) for entities and
-    (|V|*|V|, len) for the relation grid in row-major (i, j) order.
+def pooling_matrices(inp: EncoderInput) -> tuple[np.ndarray, np.ndarray]:
+    """The constant (|V|+|E|, len) mean-pooling matrix of the units, one row
+    per unit in ``unit_sequence`` order (entities 1..|V|, then relations in
+    ascending (i, j)), and each relation's row (i-1)*|V| + (j-1) of the
+    row-major (|V|*|V|) relation grid.
 
     A unit's row carries weight 1/|positions| at each of its positions, so a
     matmul against the hidden states performs the mean pooling (a
-    single-position unit copies its row exactly), and rows of absent
-    relations are zero.
+    single-position unit copies its row exactly).
     """
     nv = inp.num_entities
-    p_ent = np.zeros((nv, length))
-    for i in range(1, nv + 1):
-        positions = inp.entity_positions.get(i)
+    relations = sorted(inp.relation_positions)
+    units = [inp.entity_positions.get(i) for i in range(1, nv + 1)]
+    units += [inp.relation_positions[key] for key in relations]
+    pool = np.zeros((len(units), len(inp.ids)))
+    for row, positions in enumerate(units):
         if not positions:
-            raise EmptyPoolError(f"entity {i} has no positions to pool")
+            unit = f"entity {row + 1}" if row < nv else f"relation {relations[row - nv]}"
+            raise EmptyPoolError(f"{unit} has no positions to pool")
         weight = 1.0 / len(positions)
         for p in positions:
-            p_ent[i - 1, p - 1] = weight
-    p_rel = np.zeros((nv * nv, length))
-    for (i, j), positions in inp.relation_positions.items():
-        if not positions:
-            raise EmptyPoolError(f"relation ({i}, {j}) has no positions to pool")
-        weight = 1.0 / len(positions)
-        for p in positions:
-            p_rel[(i - 1) * nv + (j - 1), p - 1] = weight
-    return p_ent, p_rel
+            pool[row, p - 1] = weight
+    return pool, np.array([(i - 1) * nv + (j - 1) for i, j in relations], dtype=np.int64)
 
 
-def scatter_matrix(inp: EncoderInput, length: int) -> np.ndarray:
+def scatter_matrix(inp: EncoderInput) -> np.ndarray:
     """Constant (len, |V|) 0/1 matrix mapping entity vectors onto their
     token positions."""
-    scatter = np.zeros((length, inp.num_entities))
+    scatter = np.zeros((len(inp.ids), inp.num_entities))
     for i, positions in inp.entity_positions.items():
         for p in positions:
             scatter[p - 1, i - 1] = 1.0
@@ -207,18 +202,12 @@ def encode(inp: EncoderInput, cfg: EncoderConfig, store: ParamStore) -> Tensor:
     x = add(embedding_lookup(store["tok_emb"], ids), slice_view(store["enc.pos_emb"], slice(0, length)))
 
     aggregate = cfg.variant != VARIANT_SEQ
-    rel_units = None
     if aggregate:
         # per-input constants, shared by every layer
-        p_ent, p_rel = pooling_matrices(inp, length)
-        pool_ent, pool_rel = Tensor(p_ent), Tensor(p_rel)
-        scatter = Tensor(scatter_matrix(inp, length))
+        pools = (*pooling_matrices(inp), scatter_matrix(inp))
         if cfg.variant == VARIANT_REL:
-            # unit vectors from the learned tables, pooled like token states
-            rel_units = (
-                matmul(pool_ent, embedding_lookup(store["struct.ent_emb"], ids)),
-                matmul(pool_rel, embedding_lookup(store["struct.rel_emb"], ids)),
-            )
+            # the units pool rows of the learned tables instead of token states
+            table_rows = [embedding_lookup(store[n], ids) for n in ("struct.ent_emb", "struct.rel_emb")]
 
     blocked = key_mask(inp.padding)
     for layer in range(cfg.num_layers):
@@ -228,13 +217,10 @@ def encode(inp: EncoderInput, cfg: EncoderConfig, store: ParamStore) -> Tensor:
             cfg.num_heads, blocked,
         )
         if aggregate:
-            if cfg.variant == VARIANT_JOINT:
-                z, q_grid = matmul(pool_ent, h), matmul(pool_rel, h)
-            else:
-                z, q_grid = rel_units
-            z_tilde = relation_biased_attention_op(
-                z, q_grid, *(store[f"{p}.agg.{n}"] for n in AGG_WEIGHT_NAMES), cfg.num_heads
+            unit_rows = table_rows if cfg.variant == VARIANT_REL else (h, h)
+            h = relation_biased_attention_op(
+                h, *unit_rows, pools, *(store[f"{p}.agg.{n}"] for n in AGG_WEIGHT_NAMES),
+                cfg.num_heads,
             )
-            h = add(h, matmul(scatter, z_tilde))
         x = ffn_op(h, *sublayer_params(store, f"{p}.ln2", f"{p}.ffn", FFN_WEIGHTS))
     return layer_norm(x, store["enc.final_ln.g"], store["enc.final_ln.b"])

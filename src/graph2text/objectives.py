@@ -21,9 +21,9 @@ from .autograd import (
     slice_view,
     weighted_sum,
 )
-from .data import GraphTextPair, linearize, unit_sequence
+from . import encoder
+from .data import GraphTextPair, linearize
 from .decoder import lm_logits, teacher_forced_states
-from .encoder import pooling_matrices
 from .errors import MarginalError, NumericError, ShapeError
 from .model import Seq2SeqModel
 from .vocab import mask_graph, mask_text
@@ -178,22 +178,17 @@ def loss_graph_reconstruction(
 def alignment_embeddings(model: Seq2SeqModel, pair: GraphTextPair) -> tuple[Tensor, Tensor]:
     """Pooled unit vectors from the encoder and per-token decoder vectors.
 
-    The encoder sees only the linearized graph; the decoder is teacher-forced
-    on the text, and only the states for the text tokens themselves (not the
-    end marker) become transport atoms.
+    The encoder sees only the linearized graph; its states pooled by the
+    rows of ``pooling_matrices`` are the graph atoms, in ``unit_sequence``
+    order. The decoder is teacher-forced on the text, and only the states
+    for the text tokens themselves (not the end marker) become transport
+    atoms.
     """
     lin = linearize(pair.graph)
     inp = model.encoder_input(lin)
     enc_states = model.encode(inp)
-    p_ent, p_rel = pooling_matrices(inp, len(inp.ids))
-    nv = inp.num_entities
-    # entity i is row i - 1; relation (i, j) is its row of the row-major
-    # grid, stacked below the |V| entity rows
-    rows = [
-        key - 1 if kind == "entity" else nv + (key[0] - 1) * nv + (key[1] - 1)
-        for kind, key in unit_sequence(pair.graph)
-    ]
-    graph_vectors = matmul(Tensor(np.vstack([p_ent, p_rel])[rows]), enc_states)
+    pool, _ = encoder.pooling_matrices(inp)
+    graph_vectors = matmul(Tensor(pool), enc_states)
     targets = model.target_ids(pair.text)
     dec_states = teacher_forced_states(
         targets, enc_states, model.store, model.decoder_config, inp.padding

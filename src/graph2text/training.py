@@ -303,19 +303,29 @@ def _copy_params(store: ParamStore, arrays: dict[str, np.ndarray]) -> None:
         t.data = arrays[name]
 
 
+def _read_vocab(path: Path, manifest: dict) -> Vocabulary:
+    vocab_path = path / manifest["vocab_file"]
+    if not vocab_path.is_file():
+        raise CheckpointError(f"missing vocabulary file: {vocab_path}")
+    vocab, size = Vocabulary.load(vocab_path), manifest["model"].get("vocab_size")
+    if size != len(vocab):
+        raise CheckpointError(f"vocabulary size {len(vocab)} disagrees with manifest {size}")
+    return vocab
+
+
+def checkpoint_vocab(path: str | Path) -> Vocabulary:
+    """The vocabulary of a checkpoint directory, checked against its
+    manifest; the parameters are not read."""
+    path = Path(path)
+    return _read_vocab(path, _read_manifest(path))
+
+
 def load_checkpoint(path: str | Path) -> Seq2SeqModel:
     """Rebuild the model from a checkpoint directory, bit-for-bit."""
     path = Path(path)
     manifest = _read_manifest(path)
-    vocab_path = path / manifest["vocab_file"]
-    if not vocab_path.is_file():
-        raise CheckpointError(f"missing vocabulary file: {vocab_path}")
-    vocab = Vocabulary.load(vocab_path)
+    vocab = _read_vocab(path, manifest)
     mc = manifest["model"]
-    if mc.get("vocab_size") != len(vocab):
-        raise CheckpointError(
-            f"vocabulary size {len(vocab)} disagrees with manifest {mc.get('vocab_size')}"
-        )
     try:
         enc_cfg, dec_cfg = ModelSettings(
             **{f.name: mc[f.name] for f in dataclasses.fields(ModelSettings)}

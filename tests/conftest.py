@@ -46,6 +46,13 @@ def rows_at(rows: dict[int, Tensor], count: int) -> Tensor:
     return out
 
 
+def identity_pools(nv: int) -> tuple:
+    """Pools of ``relation_biased_attention_op`` with P = I over the rows
+    (z; q_grid) and S = I: with h = 0 the op returns exactly
+    attention(z, q_grid)."""
+    return np.eye(nv + nv * nv), np.arange(nv * nv), np.eye(nv)
+
+
 def store_gradients(store, build_loss) -> dict[str, np.ndarray]:
     store.zero_grads()
     backward(build_loss())

@@ -104,7 +104,7 @@ def test_criterion_3_structure_module_identities():
     inp = model.encoder_input(linearize(corpus[0].graph), corpus[0].text)
     rng = np.random.default_rng(0)
     h = Tensor(rng.normal(size=(len(inp.ids), 16)))
-    scatter = Tensor(scatter_matrix(inp, len(inp.ids)))
+    scatter = Tensor(scatter_matrix(inp))
     fused = add(h, matmul(scatter, Tensor(rng.normal(size=(3, 16)))))
     entity_rows = {p - 1 for s in inp.entity_positions.values() for p in s}
     passthrough = all(
@@ -130,7 +130,7 @@ def test_criterion_3_structure_module_identities():
         zero_equiv = zero_equiv and np.array_equal(joint_out.data, seq_out.data)
 
     # (c) single-position pooling copies the row
-    p_ent, _ = pooling_matrices(inp, len(inp.ids))
+    p_ent, _ = pooling_matrices(inp)
     z = matmul(Tensor(p_ent), h)
     single = np.array_equal(z.data[0], h.data[next(iter(inp.entity_positions[1])) - 1])
 

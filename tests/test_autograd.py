@@ -11,7 +11,7 @@ from graph2text.errors import EmptyPoolError, ShapeError, UsageError
 from graph2text.objectives import combined_pretrain_loss, loss_finetune
 from graph2text.synth import build_toy_model, overfit_corpus
 
-from conftest import assert_gradient_gate, store_gradients
+from conftest import assert_gradient_gate, identity_pools, store_gradients
 
 
 def check_scalar_fn(build, arrays, tol=1e-6, eps=1e-6):
@@ -156,9 +156,12 @@ class TestSharedAttentionCore:
 
     def test_relation_biased_attention_op(self, calls):
         rng = np.random.default_rng(22)
-        z = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        z = rng.normal(size=(3, 4))
         weights = [rng.normal(size=(4, 4)) for _ in range(5)]
-        out = ag.relation_biased_attention_op(z, rng.normal(size=(9, 4)), *weights, 2)
+        rows = Tensor(np.vstack([z, rng.normal(size=(9, 4))]), requires_grad=True)
+        out = ag.relation_biased_attention_op(
+            np.zeros((3, 4)), rows, rows, identity_pools(3), *weights, 2
+        )
         backward(ag.weighted_sum(out, rng.normal(size=(3, 4))))
         assert calls == ["_softmax_attention", "_softmax_attention_backward"]
 
@@ -206,26 +209,26 @@ class TestIndexMeanPool:
 
     def test_single_position_exact_copy(self):
         h = Tensor(np.arange(12.0).reshape(4, 3))
-        p_ent, _ = pooling_matrices(pool_input(), 4)
-        out = ag.matmul(Tensor(p_ent), h)
+        pool, _ = pooling_matrices(pool_input())
+        out = ag.matmul(Tensor(pool), h)
         assert np.array_equal(out.data[0], h.data[2])
 
     def test_two_equal_rows(self):
         h = Tensor(np.array([[1.0, 2.0], [1.0, 2.0], [9.0, 9.0], [5.0, 5.0]]))
-        p_ent, _ = pooling_matrices(pool_input(), 4)
-        out = ag.matmul(Tensor(p_ent), h)
+        pool, _ = pooling_matrices(pool_input())
+        out = ag.matmul(Tensor(pool), h)
         assert np.array_equal(out.data[1], np.array([1.0, 2.0]))
 
     def test_empty_positions(self):
         with pytest.raises(EmptyPoolError):
-            pooling_matrices(pool_input(entity_1=frozenset()), 4)
+            pooling_matrices(pool_input(entity_1=frozenset()))
 
     def test_gradient(self):
         rng = np.random.default_rng(5)
         w = rng.normal(size=(2, 3))
-        p_ent, _ = pooling_matrices(pool_input(entity_1=frozenset({1, 3, 4})), 4)
+        pool, _ = pooling_matrices(pool_input(entity_1=frozenset({1, 3, 4})))
         check_scalar_fn(
-            lambda s: ag.weighted_sum(ag.matmul(Tensor(p_ent), s["h"]), w),
+            lambda s: ag.weighted_sum(ag.matmul(Tensor(pool[:2]), s["h"]), w),
             {"h": rng.normal(size=(4, 3))},
         )
 
@@ -381,14 +384,18 @@ class TestOpGradientsProperty:
     def test_relation_biased_attention_op(self, seed):
         rng = np.random.default_rng(200 + seed)
         nv, d = 3, 4
-        arrays = {"z": rng.normal(size=(nv, d)), "q": rng.normal(size=(nv * nv, d))}
+        # P = I over the rows (z; q), S = I and h = 0: the op is the
+        # attention alone, and the rows get the z and q gradients
+        arrays = {"rows": np.vstack([rng.normal(size=(nv, d)), rng.normal(size=(nv * nv, d))])}
         for name in ("wqs", "wks", "wvs", "wkr", "wvr"):
             arrays[name] = rng.normal(size=(d, d)) * 0.5
+        arrays["h"] = np.zeros((nv, d))
         readout = rng.normal(size=(nv, d))
 
         def build(s):
             out = ag.relation_biased_attention_op(
-                s["z"], s["q"], s["wqs"], s["wks"], s["wvs"], s["wkr"], s["wvr"], 2
+                s["h"], s["rows"], s["rows"], identity_pools(nv),
+                s["wqs"], s["wks"], s["wvs"], s["wkr"], s["wvr"], 2,
             )
             return ag.weighted_sum(out, readout)
 

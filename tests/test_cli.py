@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from graph2text import cli
+from graph2text import cli, training
 from graph2text.autograd import GradCheckReport
 from graph2text.cli import RunConfig, main
 from graph2text.data import load_corpus
@@ -161,6 +161,16 @@ class TestPretrain:
         assert f"error: {key} must have the type of its default" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unused_beam_settings_checked(self, tmp_path, corpus_file, capsys):
+        # pretrain decodes nothing, but a config it accepts must also serve
+        # generate: both beam settings are checked before anything is written
+        cfg = write_config(tmp_path / "cfg.json", beam_size=0, length_penalty=-1.0)
+        code = main(["pretrain", "--config", str(cfg),
+                     "--corpus", str(corpus_file), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "error: beam_size must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_int_accepted_for_float_and_kept_in_resolved_config(self, tmp_path, corpus_file):
         cfg = write_config(tmp_path / "cfg.json", learning_rate=1, weights=[1, 0, 2])
         out = tmp_path / "run"
@@ -225,6 +235,22 @@ class TestFinetuneAndGenerate:
                      "--init", str(ckpt), "--out", str(out)])
         assert code == 0
         assert (out / "log.jsonl").is_file()
+
+    def test_finetune_reads_init_parameters_once(self, tmp_path, corpus_file, config_file,
+                                                 monkeypatch):
+        ckpt = self._pretrained(tmp_path, corpus_file, config_file)
+        reads = []
+        original = training._read_params
+
+        def spy(path, manifest):
+            reads.append(path)
+            return original(path, manifest)
+
+        monkeypatch.setattr(training, "_read_params", spy)
+        code = main(["finetune", "--config", str(config_file), "--corpus", str(corpus_file),
+                     "--init", str(ckpt), "--out", str(tmp_path / "ft")])
+        assert code == 0
+        assert reads == [ckpt]
 
     def test_finetune_shape_mismatch_exits_1(self, tmp_path, corpus_file, config_file):
         ckpt = self._pretrained(tmp_path, corpus_file, config_file)
@@ -321,6 +347,18 @@ class TestGenerateBeamSettings:
         cfg = write_config(tmp_path / "beam.json", **{key: value})
         assert run("--config", str(cfg)) == (1, [])
         assert f"{key} must be >= " in capsys.readouterr().err
+        assert not (tmp_path / "hyp.txt").exists()
+
+
+    def test_unused_training_and_model_settings_checked(self, run, tmp_path, capsys):
+        # the model is the checkpoint's and nothing trains, yet every key
+        # of the config is checked
+        cfg = write_config(tmp_path / "cfg.json", learning_rate=-1.0, num_heads=0)
+        assert run("--config", str(cfg)) == (1, [])
+        assert "error: num_heads must be at least 1, got 0" in capsys.readouterr().err
+        cfg = write_config(tmp_path / "cfg.json", learning_rate=-1.0)
+        assert run("--config", str(cfg)) == (1, [])
+        assert "error: learning_rate must be positive" in capsys.readouterr().err
         assert not (tmp_path / "hyp.txt").exists()
 
 

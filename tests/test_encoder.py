@@ -3,6 +3,7 @@ import pytest
 
 from graph2text import encoder
 from graph2text.autograd import (
+    ParamStore,
     Tensor,
     _layer_norm_forward,
     add,
@@ -14,7 +15,7 @@ from graph2text.autograd import (
     relation_biased_attention_op,
     weighted_sum,
 )
-from graph2text.data import linearize
+from graph2text.data import linearize, unit_sequence
 from graph2text.encoder import (
     AGG_WEIGHT_NAMES,
     ATTENTION_WEIGHTS,
@@ -27,10 +28,11 @@ from graph2text.encoder import (
     sublayer_params,
 )
 from graph2text.errors import EmptyPoolError, LengthError
-from graph2text.synth import build_toy_model
+from graph2text.synth import build_toy_model, overfit_corpus
 
 from conftest import (
     assert_gradient_gate,
+    identity_pools,
     make_pair,
     rows_at,
     store_gradients,
@@ -44,15 +46,34 @@ def toy_input(model, pair, text_tokens=None) -> EncoderInput:
 
 
 def pooled(h: Tensor, inp: EncoderInput) -> tuple[Tensor, Tensor]:
-    """Entity vectors and relation grid as ``encode`` pools them."""
-    p_ent, p_rel = pooling_matrices(inp, h.shape[0])
-    return matmul(Tensor(p_ent), h), matmul(Tensor(p_rel), h)
+    """Entity vectors and relation grid as the aggregation sublayer pools
+    them: z = P[:|V|] @ h, and the grid zero but at the relations' rows."""
+    pool, grid_rows = pooling_matrices(inp)
+    nv = inp.num_entities
+    q_grid = np.zeros((nv * nv, h.shape[1]))
+    q_grid[grid_rows] = pool[nv:] @ h.data
+    return matmul(Tensor(pool[:nv]), h), Tensor(q_grid)
 
 
-def fused(h: Tensor, z_tilde: Tensor, inp: EncoderInput) -> Tensor:
-    """The residual step of ``encode``: entity vectors added onto their
-    token positions."""
-    return add(h, matmul(Tensor(scatter_matrix(inp, h.shape[0])), z_tilde))
+def attention_core(z, q_grid, *weights_and_heads) -> Tensor:
+    """The relation-biased attention alone, of (|V|, d) ``z`` and
+    (|V|*|V|, d) ``q_grid`` arrays."""
+    nv, d = np.shape(z)
+    rows = np.vstack([z, q_grid])
+    return relation_biased_attention_op(
+        np.zeros((nv, d)), rows, rows, identity_pools(nv), *weights_and_heads
+    )
+
+
+def encode_pools(inp: EncoderInput) -> tuple:
+    """The pools ``encode`` passes for ``inp``: P, grid rows and S."""
+    return (*pooling_matrices(inp), scatter_matrix(inp))
+
+
+def entity_pools(inp: EncoderInput) -> tuple:
+    """``inp``'s P and grid rows with S = I: with h = 0 the op returns the
+    attention output of each entity."""
+    return (*pooling_matrices(inp), np.eye(inp.num_entities))
 
 
 @pytest.fixture
@@ -171,7 +192,25 @@ class TestPooling:
         object.__setattr__(bad, "relation_positions", inp.relation_positions)
         object.__setattr__(bad, "padding", None)
         with pytest.raises(EmptyPoolError):
-            pooling_matrices(bad, len(inp.ids))
+            pooling_matrices(bad)
+
+    def test_rows_follow_unit_sequence(self, two_triple_pair):
+        model, _ = build_toy_model()
+        for pair in [two_triple_pair, three_position_pair()] + overfit_corpus(20):
+            lin = linearize(pair.graph)
+            inp = model.encoder_input(lin, pair.text)
+            pool, grid_rows = pooling_matrices(inp)
+            units = unit_sequence(pair.graph)
+            nv = inp.num_entities
+            assert pool.shape == (len(units), len(inp.ids))
+            for row, (kind, key) in zip(pool, units):
+                positions = (lin.entity_positions[key] if kind == "entity"
+                             else lin.relation_positions[key])
+                expected = np.zeros(len(inp.ids))
+                expected[[p - 1 for p in positions]] = 1.0 / len(positions)
+                assert np.array_equal(row, expected)
+            relations = [key for kind, key in units if kind == "relation"]
+            assert grid_rows.tolist() == [(i - 1) * nv + (j - 1) for i, j in relations]
 
 
 def layer_zero_agg(model) -> list:
@@ -208,18 +247,18 @@ class TestStructureAttention:
         z, q_grid = rng.normal(size=(nv, d)), rng.normal(size=(nv * nv, d))
         weights = [rng.normal(size=(d, d)) / np.sqrt(d) for _ in AGG_WEIGHT_NAMES]
         with no_grad():
-            out = relation_biased_attention_op(z, q_grid, *weights, num_heads).data
+            out = attention_core(z, q_grid, *weights, num_heads).data
         ref = relation_attention_loop(z, q_grid, *weights, num_heads)
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_single_entity_no_loop(self):
         model, corpus = build_toy_model()
         rng = np.random.default_rng(6)
-        z = Tensor(rng.normal(size=(1, 16)))
-        q = Tensor(np.zeros((1, 16)))
-        out = relation_biased_attention_op(z, q, *layer_zero_agg(model), 2)
+        z = rng.normal(size=(1, 16))
+        q = np.zeros((1, 16))
+        out = attention_core(z, q, *layer_zero_agg(model), 2)
         # softmax over a single key is 1; with q = 0 the output is z @ Wvs
-        assert np.allclose(out.data, z.data @ model.store["enc.0.agg.wvs"].data, atol=1e-12)
+        assert np.allclose(out.data, z @ model.store["enc.0.agg.wvs"].data, atol=1e-12)
 
     def test_zero_value_weights_zero_output(self, model_and_input):
         model, inp = model_and_input
@@ -227,8 +266,9 @@ class TestStructureAttention:
         model.store["enc.0.agg.wvr"].data[:] = 0.0
         rng = np.random.default_rng(7)
         h = Tensor(rng.normal(size=(len(inp.ids), 16)))
-        z, q = pooled(h, inp)
-        out = relation_biased_attention_op(z, q, *layer_zero_agg(model), 2)
+        out = relation_biased_attention_op(
+            np.zeros((3, 16)), h, h, entity_pools(inp), *layer_zero_agg(model), 2
+        )
         assert np.array_equal(out.data, np.zeros((3, 16)))
 
     def test_gradients_of_all_five_weights(self):
@@ -237,15 +277,14 @@ class TestStructureAttention:
         rng = np.random.default_rng(8)
         h = Tensor(rng.normal(size=(len(inp.ids), 16)))
         readout = rng.normal(size=(3, 16))
-        from graph2text.autograd import ParamStore
-
         store = ParamStore()
         for name in ("wqs", "wks", "wvs", "wkr", "wvr"):
             store.add(name, rng.normal(size=(16, 16)) * 0.3)
 
         def f():
-            z, q = pooled(h, inp)
-            out = relation_biased_attention_op(z, q, *(store[n] for n in AGG_WEIGHT_NAMES), 2)
+            out = relation_biased_attention_op(
+                np.zeros((3, 16)), h, h, entity_pools(inp), *(store[n] for n in AGG_WEIGHT_NAMES), 2
+            )
             return weighted_sum(out, readout)
 
         report = grad_check(f, store, tol=1e-4)
@@ -253,12 +292,14 @@ class TestStructureAttention:
 
 
 class TestResidualFuse:
+    """The op's residual step: ``h`` plus the entity outputs scattered onto
+    their token positions."""
+
     def test_non_entity_positions_bitwise_unchanged(self, model_and_input):
         model, inp = model_and_input
         rng = np.random.default_rng(9)
         h = Tensor(rng.normal(size=(len(inp.ids), 16)))
-        z_tilde = Tensor(rng.normal(size=(3, 16)))
-        out = fused(h, z_tilde, inp)
+        out = relation_biased_attention_op(h, h, h, encode_pools(inp), *layer_zero_agg(model), 2)
         entity_rows = {p - 1 for s in inp.entity_positions.values() for p in s}
         for row in range(len(inp.ids)):
             if row not in entity_rows:
@@ -268,18 +309,77 @@ class TestResidualFuse:
 
     def test_zero_struct_vectors_identity(self, model_and_input):
         model, inp = model_and_input
+        model.store["enc.0.agg.wvs"].data[:] = 0.0
+        model.store["enc.0.agg.wvr"].data[:] = 0.0
         h = Tensor(np.random.default_rng(10).normal(size=(len(inp.ids), 16)))
-        out = fused(h, Tensor(np.zeros((3, 16))), inp)
+        out = relation_biased_attention_op(h, h, h, encode_pools(inp), *layer_zero_agg(model), 2)
         assert np.array_equal(out.data, h.data)
 
     def test_multi_position_entity_gets_same_vector(self, model_and_input):
         model, inp = model_and_input
         h = Tensor(np.zeros((len(inp.ids), 16)))
-        z_tilde = Tensor(np.random.default_rng(11).normal(size=(3, 16)))
-        out = fused(h, z_tilde, inp)
+        unit_rows = Tensor(np.random.default_rng(11).normal(size=(len(inp.ids), 16)))
+        weights = layer_zero_agg(model)
+        out = relation_biased_attention_op(h, unit_rows, unit_rows, encode_pools(inp), *weights, 2)
+        z_tilde = relation_biased_attention_op(
+            np.zeros((3, 16)), unit_rows, unit_rows, entity_pools(inp), *weights, 2
+        )
         rows = sorted(p - 1 for p in inp.entity_positions[2])
         assert np.array_equal(out.data[rows[0]], z_tilde.data[1])
         assert np.array_equal(out.data[rows[1]], z_tilde.data[1])
+
+
+class TestAggregationSublayer:
+    """The fused op against the generic path it replaces: each unit's mean
+    placed in a (|V| + |V|*|V|, d) entity-and-grid block with zero rows for
+    absent relations, the attention, the scatter matmul and the residual
+    add."""
+
+    def test_matches_grid_scatter_add(self):
+        pair = three_position_pair()
+        model, _ = build_toy_model(corpus=[pair], max_input_len=64)
+        inp = toy_input(model, pair, pair.text)
+        nv, length = inp.num_entities, len(inp.ids)
+        # row of each unit in the entity-and-grid block
+        unit_rows = {i - 1: p for i, p in inp.entity_positions.items()}
+        unit_rows.update({nv + (i - 1) * nv + (j - 1): p
+                          for (i, j), p in inp.relation_positions.items()})
+        rng = np.random.default_rng(16)
+        store = ParamStore()
+        store.add("h", rng.normal(size=(length, 16)))
+        for name in AGG_WEIGHT_NAMES:
+            store.add(name, rng.normal(size=(16, 16)) * 0.3)
+        weights = [store[n] for n in AGG_WEIGHT_NAMES]
+        readout = rng.normal(size=(length, 16))
+        scatter = scatter_matrix(inp)
+        outputs = []
+
+        def build():
+            h = store["h"]
+            outputs.append(relation_biased_attention_op(h, h, h, encode_pools(inp), *weights, 2))
+            return weighted_sum(outputs[-1], readout)
+
+        def build_reference():
+            h = store["h"]
+            units = rows_at({row: unit_mean(h, p) for row, p in unit_rows.items()}, nv + nv * nv)
+            z_tilde = relation_biased_attention_op(
+                np.zeros((nv, 16)), units, units, identity_pools(nv), *weights, 2
+            )
+            outputs.append(add(h, matmul(Tensor(scatter), z_tilde)))
+            return weighted_sum(outputs[-1], readout)
+
+        grads = store_gradients(store, build)
+        reference = store_gradients(store, build_reference)
+        h = store["h"].data
+        dense = np.zeros((nv + nv * nv, length))
+        for row, positions in unit_rows.items():
+            dense[row, [p - 1 for p in positions]] = 1.0 / len(positions)
+        looped = h + scatter @ relation_attention_loop(
+            dense[:nv] @ h, dense[nv:] @ h, *(w.data for w in weights), 2
+        )
+        for out in (o.data for o in outputs):
+            assert np.abs(out - looped).max() <= 1e-12 * np.abs(looped).max()
+        assert_gradient_gate(grads, reference)
 
 
 class TestEncode:
@@ -331,9 +431,9 @@ class TestEncode:
         assert report.passed, report.worst()
 
     def test_rel_variant_matches_per_unit_reference(self, monkeypatch):
-        # the "rel" unit vectors come from one matmul per table with the
-        # pooling matrices; the reference pools the table rows one unit at a
-        # time and feeds them to every layer's structure attention
+        # the "rel" unit vectors come from the pooling matrix inside each
+        # layer's aggregation op; the reference pools the table rows one unit
+        # at a time and feeds them to every layer's op with P = I
         pair = three_position_pair()
         model, _ = build_toy_model(corpus=[pair], variant="rel", max_input_len=64)
         inp = toy_input(model, pair, pair.text)
@@ -344,11 +444,10 @@ class TestEncode:
         def reference_units():
             ent_rows = embedding_lookup(store["struct.ent_emb"], np.asarray(inp.ids))
             rel_rows = embedding_lookup(store["struct.rel_emb"], np.asarray(inp.ids))
-            z = rows_at({i - 1: unit_mean(ent_rows, p)
-                         for i, p in inp.entity_positions.items()}, nv)
-            q_grid = rows_at({(i - 1) * nv + j - 1: unit_mean(rel_rows, p)
-                              for (i, j), p in inp.relation_positions.items()}, nv * nv)
-            return z, q_grid
+            z = {i - 1: unit_mean(ent_rows, p) for i, p in inp.entity_positions.items()}
+            q_grid = {nv + (i - 1) * nv + j - 1: unit_mean(rel_rows, p)
+                      for (i, j), p in inp.relation_positions.items()}
+            return rows_at({**z, **q_grid}, nv + nv * nv)
 
         outputs = []
 
@@ -359,8 +458,13 @@ class TestEncode:
         grads = store_gradients(store, build)
         units = []
         original = encoder.relation_biased_attention_op
-        monkeypatch.setattr(encoder, "relation_biased_attention_op",
-                            lambda z, q_grid, *rest: original(*units[-1], *rest))
+
+        def per_unit_op(h, ent_rows, rel_rows, pools, *rest):
+            # P = I over the stacked (z; q_grid) rows, the real scatter
+            pools = (*identity_pools(nv)[:2], pools[2])
+            return original(h, units[-1], units[-1], pools, *rest)
+
+        monkeypatch.setattr(encoder, "relation_biased_attention_op", per_unit_op)
 
         def build_reference():
             units.append(reference_units())

@@ -382,7 +382,7 @@ class TestFinetuneLoss:
         report = grad_check(lambda: loss_finetune(model, pair), model.store, tol=1e-4)
         assert report.passed, report.worst()
 
-    @pytest.mark.parametrize("variant", ["seq", "joint"])
+    @pytest.mark.parametrize("variant", ["seq", "joint", "rel"])
     def test_one_graph_node_per_sublayer(self, variant):
         model, corpus = build_toy_model(variant=variant)
         loss = loss_finetune(model, corpus[0])
@@ -391,11 +391,13 @@ class TestFinetuneLoss:
             for node in _toposort(loss) if node._backward_fn is not None
         )
         enc, dec = model.encoder_config.num_layers, model.decoder_config.num_layers
-        aggregating = enc if variant == "joint" else 0
+        aggregating = 0 if variant == "seq" else enc
         assert ops["layer_norm"] == 2  # the final norms of encoder and decoder
         assert ops["multihead_attention_op"] == enc + 2 * dec
         assert ops["ffn_op"] == enc + dec
         assert ops["relation_biased_attention_op"] == aggregating
-        # the residual adds live inside the sublayer nodes; what is left is
-        # the two token + position embedding sums and the aggregation scatters
-        assert ops["add"] == 2 + aggregating
+        # pooling, scatter and residual adds live inside the sublayer nodes;
+        # what is left is the two token + position embedding sums and the
+        # tied output projection
+        assert ops["add"] == 2
+        assert ops["matmul"] == 1
