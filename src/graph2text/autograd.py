@@ -456,9 +456,11 @@ def multihead_attention_op(
 # backward pass and parameter store
 
 def _toposort(root: Tensor) -> list[Tensor]:
+    """The nodes with a backward function that ``root`` depends on, each
+    after its parents; leaves and constants never enter the order."""
     order: list[Tensor] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Tensor, bool]] = [(root, False)] if root._backward_fn is not None else []
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -469,39 +471,36 @@ def _toposort(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited and parent.in_graph:
+            if id(parent) not in visited and parent._backward_fn is not None:
                 stack.append((parent, False))
     return order
 
 
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad``: into a new array on an interior node (a
+    backward function may pass one array to several parents), in place into
+    a leaf's buffer; a constant takes nothing."""
+    if t._backward_fn is not None:
+        t.grad = g if t.grad is None else t.grad + g
+    elif t.requires_grad:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        t.grad += g
+
+
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar; may run once per computation graph."""
+    """Reverse-mode sweep from a scalar; may run once per computation graph.
+    An interior node holds its gradient until its backward function runs."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if loss._consumed:
         raise UsageError("backward was already called on this graph; rebuild the forward pass")
     loss._consumed = True
-    order = _toposort(loss)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node.requires_grad:
-            if node.grad is None:
-                node.grad = g.copy()
-            else:
-                node.grad = node.grad + g
-        if node._backward_fn is None:
-            continue
-        parent_grads = node._backward_fn(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if not parent.in_graph:
-                continue
-            if id(parent) in grads:
-                grads[id(parent)] = grads[id(parent)] + pg
-            else:
-                grads[id(parent)] = pg
+    _accumulate(loss, np.ones_like(loss.data))
+    for node in reversed(_toposort(loss)):
+        g, node.grad = node.grad, None
+        for parent, pg in zip(node._parents, node._backward_fn(g)):
+            _accumulate(parent, pg)
 
 
 class ParamStore:
@@ -578,10 +577,7 @@ def grad_check(f, store: ParamStore, eps: float = 1e-5, tol: float = 1e-4) -> Gr
     round-off from drowning genuinely tiny gradients.
     """
     store.zero_grads()
-    loss = f()
-    if loss.data.size != 1:
-        raise ShapeError("grad_check needs a scalar-valued function")
-    backward(loss)
+    backward(f())
     analytic = {name: t.grad.copy() for name, t in store.items()}
 
     per_param: dict[str, float] = {}

@@ -50,4 +50,5 @@ class CheckpointError(Graph2TextError):
 
 
 class EvalError(Graph2TextError):
-    """Metric inputs are malformed (length mismatch, empty sequence)."""
+    """Metric inputs are malformed (length mismatch, empty corpus, empty
+    reference); an empty hypothesis is not, and scores 0."""

@@ -123,8 +123,9 @@ def rouge_l(hypothesis, reference) -> float:
 
 
 def _rouge_l(hypothesis: list, ref_list: list[list]) -> float:
-    if not hypothesis or any(not r for r in ref_list):
-        raise EvalError("ROUGE-L needs non-empty token sequences")
+    """An empty hypothesis scores 0; an empty reference is an error."""
+    if any(not r for r in ref_list):
+        raise EvalError("ROUGE-L needs non-empty references")
     best = 0.0
     for ref in ref_list:
         lcs = lcs_length(hypothesis, ref)

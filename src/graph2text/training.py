@@ -86,13 +86,12 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
 def global_grad_norm(store: ParamStore) -> float:
     total = 0.0
     for _, t in store.items():
-        if t.grad is not None:
-            total += float((t.grad * t.grad).sum())
+        total += float((t.grad * t.grad).sum())
     return math.sqrt(total)
 
 
 def clip_gradients(store: ParamStore, max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most max_norm.
+    """Scale all gradients in place so their global norm is at most max_norm.
 
     Returns the pre-clip norm.
     """
@@ -100,8 +99,7 @@ def clip_gradients(store: ParamStore, max_norm: float) -> float:
     if norm > max_norm:
         factor = max_norm / norm
         for _, t in store.items():
-            if t.grad is not None:
-                t.grad = t.grad * factor
+            t.grad *= factor
     return norm
 
 
@@ -285,7 +283,8 @@ def _read_params(path: Path, manifest: dict) -> dict[str, np.ndarray]:
             raise CheckpointError("parameter file is truncated")
         arrays[entry["name"]] = raw[offset : offset + size].reshape(shape).astype(np.float64)
         offset += size
-    if offset != raw.size:
+    # np.fromfile drops a partial trailing value, so compare bytes, not values
+    if bin_path.stat().st_size != 8 * offset:
         raise CheckpointError("parameter file has trailing bytes beyond the manifest")
     return arrays
 

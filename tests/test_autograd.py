@@ -10,6 +10,7 @@ from graph2text.encoder import EncoderInput, pooling_matrices
 from graph2text.errors import EmptyPoolError, ShapeError, UsageError
 from graph2text.objectives import combined_pretrain_loss, loss_finetune
 from graph2text.synth import build_toy_model, overfit_corpus
+from graph2text.training import clip_gradients
 
 from conftest import assert_gradient_gate, identity_pools, store_gradients
 
@@ -316,6 +317,109 @@ class TestBackwardContract:
         assert out._backward_fn is None
 
 
+def _dictionary_backward(loss: Tensor) -> None:
+    """Reference sweep that keeps each pending gradient in a dictionary keyed
+    by ``id()``, sums a node's contributions there, and copies a leaf's
+    first contribution; leaves sit in the topological order with the
+    interior nodes."""
+    order, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited and parent.in_graph:
+                stack.append((parent, False))
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad:
+            node.grad = g.copy() if node.grad is None else node.grad + g
+        if node._backward_fn is None:
+            continue
+        for parent, pg in zip(node._parents, node._backward_fn(g)):
+            if parent.in_graph:
+                grads[id(parent)] = grads[id(parent)] + pg if id(parent) in grads else pg
+
+
+class TestGradientsOnTensors:
+    """A gradient lives only in its tensor's ``grad``: interior nodes hold it
+    until their backward function consumes it, leaves add into one buffer."""
+
+    @pytest.mark.parametrize("task", ["pretrain", "finetune"])
+    @pytest.mark.parametrize("variant", ["seq", "joint", "rel"])
+    def test_bitwise_equal_to_dictionary_sweep(self, variant, task):
+        corpus = overfit_corpus(5)
+        model, _ = build_toy_model(corpus=corpus, variant=variant)
+        losses = []
+
+        def build():
+            total = None
+            for k, pair in enumerate(corpus):
+                if task == "pretrain":
+                    bundle = combined_pretrain_loss(model, pair, random.Random(k))
+                    losses.append(bundle.components())
+                    loss = bundle.total
+                else:
+                    loss = loss_finetune(model, pair)
+                losses.append(loss.item())
+                total = loss if total is None else ag.add(total, loss)
+            return ag.scale(total, 1.0 / len(corpus))
+
+        grads = store_gradients(model.store, build)
+        model.store.zero_grads()
+        _dictionary_backward(build())
+        half = len(losses) // 2
+        assert losses[:half] == losses[half:]
+        for name, t in model.store.items():
+            assert np.array_equal(grads[name], t.grad), name
+
+    def test_parameter_buffers_survive_backward_and_clipping(self):
+        corpus = overfit_corpus(2)
+        model, _ = build_toy_model(corpus=corpus)
+        model.store.zero_grads()
+        buffers = {name: id(t.grad) for name, t in model.store.items()}
+        backward(loss_finetune(model, corpus[1]))
+        assert {name: id(t.grad) for name, t in model.store.items()} == buffers
+        assert clip_gradients(model.store, 1e-6) > 1e-6  # the clip fires
+        assert {name: id(t.grad) for name, t in model.store.items()} == buffers
+
+    def test_free_leaves_get_their_own_buffers(self):
+        # add passes one array to both parents; neither leaf may hold it
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        backward(ag.weighted_sum(ag.add(x, y), np.array([5.0, 6.0])))
+        assert x.grad is not y.grad
+        assert np.array_equal(x.grad, [5.0, 6.0]) and np.array_equal(y.grad, [5.0, 6.0])
+
+    def test_order_holds_interior_nodes_that_release_their_gradients(self):
+        store = ParamStore()
+        x = store.add("x", np.array([[3.0]]))
+        store.zero_grads()
+        y = ag.matmul(x, Tensor(np.array([[2.0]])))
+        loss = ag.weighted_sum(ag.add(y, y), np.ones((1, 1)))
+        order = ag._toposort(loss)  # y, add(y, y), loss: x and the constant stay out
+        assert len(order) == 3 and order[0] is y and order[2] is loss
+        backward(loss)
+        assert all(node.grad is None for node in order)
+        assert np.array_equal(x.grad, [[4.0]])
+
+    def test_scalar_leaf_loss_gets_gradient_one(self):
+        store = ParamStore()
+        x = store.add("x", np.array(2.5))
+        store.zero_grads()
+        assert ag._toposort(x) == []
+        backward(x)
+        assert x.grad == 1.0
+
+
 def _random_op_case(seed: int):
     """One randomly shaped composition of the ops, operands of equal shape."""
     rng = np.random.default_rng(seed)
@@ -467,6 +571,11 @@ def _perturbed_toy(corpus, seed):
     return model
 
 
+def _assert_some_bits_moved(grads, reference) -> None:
+    """The cube swap must change some gradient bits, or the reference never ran."""
+    assert any(not np.array_equal(grads[name], ref) for name, ref in reference.items())
+
+
 class TestGeluCube:
     """The multiplication-form cube rounds differently from ``pow``; every
     path that runs it must stay within rounding of the ``pow`` reference."""
@@ -519,6 +628,7 @@ class TestGeluCube:
         out, ref_out = outputs
         assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
         assert len(reference) == 7
+        _assert_some_bits_moved(grads, reference)
         assert_gradient_gate(grads, reference)
 
     def test_pretrain_bundle_matches_pow_reference(self, monkeypatch):
@@ -538,6 +648,7 @@ class TestGeluCube:
         for name, value in ref.items():
             assert value > 0, name
             assert abs(ours[name] - value) <= 1e-12 * value, name
+        _assert_some_bits_moved(grads, reference)
         assert_gradient_gate(grads, reference)
 
     def test_finetune_loss_matches_pow_reference(self, monkeypatch):
@@ -560,4 +671,5 @@ class TestGeluCube:
         reference = store_gradients(model.store, build)
         ours, ref = (loss.item() for loss in losses)
         assert abs(ours - ref) <= 1e-12 * ref
+        _assert_some_bits_moved(grads, reference)
         assert_gradient_gate(grads, reference)

@@ -259,6 +259,16 @@ class TestFinetuneAndGenerate:
                      "--init", str(ckpt), "--out", str(tmp_path / "ft")])
         assert code == 1
 
+    def test_finetune_params_with_stray_bytes_exits_1(self, tmp_path, corpus_file, config_file,
+                                                      capsys):
+        ckpt = self._pretrained(tmp_path, corpus_file, config_file)
+        with open(ckpt / "params.bin", "ab") as fh:
+            fh.write(b"\x00\x01\x02")
+        code = main(["finetune", "--config", str(config_file), "--corpus", str(corpus_file),
+                     "--init", str(ckpt), "--out", str(tmp_path / "ft")])
+        assert code == 1
+        assert "trailing bytes" in capsys.readouterr().err
+
     def test_seq_checkpoint_into_joint_config(self, tmp_path, corpus_file):
         seq_cfg = write_config(tmp_path / "seq.json", variant="seq")
         out = tmp_path / "pre_seq"
@@ -402,6 +412,24 @@ class TestEval:
         assert report["bleu"] == pytest.approx(100.0)
         assert report["rouge_l"] == pytest.approx(100.0)
         assert report["num_examples"] == 2
+
+    def test_empty_hypothesis_line_scores_zero(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        hyp.write_text("\na b\n")
+        ref.write_text("a b\na b\n")
+        assert main(["eval", "--hyp", str(hyp), "--ref", str(ref)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["rouge_l"] == pytest.approx(50.0)
+        assert report["num_examples"] == 2
+
+    def test_empty_reference_line_exits_1(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        hyp.write_text("a b\n")
+        ref.write_text("\n")
+        assert main(["eval", "--hyp", str(hyp), "--ref", str(ref)]) == 1
+        assert "non-empty references" in capsys.readouterr().err
 
     def test_length_mismatch_exits_1(self, tmp_path):
         hyp = tmp_path / "hyp.txt"

@@ -377,6 +377,7 @@ class TestAggregationSublayer:
         looped = h + scatter @ relation_attention_loop(
             dense[:nv] @ h, dense[nv:] @ h, *(w.data for w in weights), 2
         )
+        assert len(outputs) == 2  # the reference ran
         for out in (o.data for o in outputs):
             assert np.abs(out - looped).max() <= 1e-12 * np.abs(looped).max()
         assert_gradient_gate(grads, reference)
@@ -456,11 +457,12 @@ class TestEncode:
             return weighted_sum(outputs[-1], readout)
 
         grads = store_gradients(store, build)
-        units = []
+        units, reference_calls = [], []
         original = encoder.relation_biased_attention_op
 
         def per_unit_op(h, ent_rows, rel_rows, pools, *rest):
             # P = I over the stacked (z; q_grid) rows, the real scatter
+            reference_calls.append(h)
             pools = (*identity_pools(nv)[:2], pools[2])
             return original(h, units[-1], units[-1], pools, *rest)
 
@@ -471,6 +473,7 @@ class TestEncode:
             return build()
 
         reference = store_gradients(store, build_reference)
+        assert len(reference_calls) == model.encoder_config.num_layers
         out, ref_out = (o.data for o in outputs)
         assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
         assert_gradient_gate(grads, reference)

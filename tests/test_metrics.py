@@ -85,10 +85,15 @@ class TestRougeL:
         assert rouge_l(["a", "b", "c", "d"], ["a", "c", "d"]) == pytest.approx(600.0 / 7.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(EvalError):
-            rouge_l([], ["a"])
-        with pytest.raises(EvalError):
+        with pytest.raises(EvalError, match="non-empty references"):
             rouge_l(["a"], [])
+
+    def test_empty_hypothesis_scores_zero(self):
+        # generate writes an empty line when <EOS> wins the first step
+        assert rouge_l([], ["a"]) == 0.0
+        assert rouge_l([], [["a"], ["b", "c"]]) == 0.0
+        report = evaluate_corpus([[], ["a", "b"]], [["a"], ["a", "b"]])
+        assert [e["rouge_l"] for e in report.per_example] == [0.0, 100.0]
 
     def test_multiple_references_take_best(self):
         score = rouge_l(["a", "b"], [["x", "y"], ["a", "b"]])

@@ -311,8 +311,15 @@ class TestPooledAlignment:
             return losses[-1]
 
         grads = store_gradients(model.store, build)
-        monkeypatch.setattr(objectives, "alignment_embeddings", reference_alignment_embeddings)
+        reference_calls = []
+
+        def spy(*args):
+            reference_calls.append(args)
+            return reference_alignment_embeddings(*args)
+
+        monkeypatch.setattr(objectives, "alignment_embeddings", spy)
         reference = store_gradients(model.store, build)
+        assert len(reference_calls) == 1
         ours, ref = (loss.item() for loss in losses)
         assert abs(ours - ref) <= 1e-12 * ref
         assert_gradient_gate(grads, reference)

@@ -265,6 +265,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("load", [load_checkpoint,
+                                      lambda path: init_model_from_checkpoint(
+                                          build_toy_model(corpus=overfit_corpus(3))[0], path)],
+                             ids=["load_checkpoint", "init_model_from_checkpoint"])
+    def test_partial_trailing_value_rejected(self, tmp_path, load):
+        # np.fromfile drops the 3 stray bytes; the size check must not
+        model, _ = self._trained_model()
+        path = save_checkpoint(model, tmp_path / "ckpt")
+        with open(path / "params.bin", "ab") as fh:
+            fh.write(b"\x00\x01\x02")
+        with pytest.raises(CheckpointError, match="trailing bytes"):
+            load(path)
+
     def test_manifest_shape_mismatch_rejected(self, tmp_path):
         model, _ = self._trained_model()
         path = save_checkpoint(model, tmp_path / "ckpt")
