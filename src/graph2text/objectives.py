@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .autograd import (
     cross_entropy,
     embedding_lookup,
     matmul,
+    no_grad,
     scale,
     slice_view,
     weighted_sum,
@@ -24,7 +26,7 @@ from .autograd import (
 from . import encoder
 from .data import GraphTextPair, linearize
 from .decoder import lm_logits, teacher_forced_states
-from .errors import MarginalError, NumericError, ShapeError
+from .errors import Graph2TextError, MarginalError, NumericError, ShapeError
 from .model import Seq2SeqModel
 from .vocab import mask_graph, mask_text
 
@@ -140,7 +142,11 @@ def loss_text_reconstruction(
     """Decode the original text from the complete graph plus a corrupted text."""
     lin = linearize(pair.graph)
     masked = mask_text(pair, rng, p_entity, p_other)
-    inp = model.encoder_input(lin, masked.corrupted)
+    return _text_loss(model, pair, model.encoder_input(lin, masked.corrupted))
+
+
+def _text_loss(model: Seq2SeqModel, pair: GraphTextPair, inp: encoder.EncoderInput) -> Tensor:
+    """Cross-entropy of decoding the pair's text from the encoded ``inp``."""
     states = model.encode(inp)
     targets = model.target_ids(pair.text)
     logits, _ = model.decode_train(targets, states, inp.padding)
@@ -222,12 +228,7 @@ def loss_ot_alignment(
 
 def loss_finetune(model: Seq2SeqModel, pair: GraphTextPair) -> Tensor:
     """Plain graph-to-text generation loss: encode the graph, decode the text."""
-    lin = linearize(pair.graph)
-    inp = model.encoder_input(lin)
-    states = model.encode(inp)
-    targets = model.target_ids(pair.text)
-    logits, _ = model.decode_train(targets, states, inp.padding)
-    return cross_entropy(logits, targets)
+    return _text_loss(model, pair, model.encoder_input(linearize(pair.graph)))
 
 
 def combined_pretrain_loss(
@@ -253,3 +254,24 @@ def combined_pretrain_loss(
         if weight > 0:
             total = add(total, scale(loss, weight))
     return LossBundle(l_text, l_graph, l_ot, total)
+
+
+def frozen_losses(model: Seq2SeqModel, pair: GraphTextPair) -> dict[str, Callable[[], Tensor]]:
+    """The four losses on ``pair`` as deterministic closures for finite-difference
+    checks: text masking from seed 7, graph masking from the first seed in 0-999
+    that masks a unit, and a transport plan solved once here and then frozen."""
+    with no_grad():
+        for graph_seed in range(1000):
+            if loss_graph_reconstruction(model, pair, random.Random(graph_seed)).item() > 0:
+                break
+        else:
+            raise Graph2TextError("no masking seed produced a non-empty corruption")
+        graph_vectors, text_vectors = alignment_embeddings(model, pair)
+        costs = cosine_cost(graph_vectors, text_vectors).data
+        plan = ipot(costs, *uniform_marginals(*costs.shape), OTConfig())
+    return {
+        "l_text": lambda: loss_text_reconstruction(model, pair, random.Random(7)),
+        "l_graph": lambda: loss_graph_reconstruction(model, pair, random.Random(graph_seed)),
+        "l_ot": lambda: loss_ot_alignment(model, pair, frozen_plan=plan),
+        "l_finetune": lambda: loss_finetune(model, pair),
+    }

@@ -273,6 +273,10 @@ def _read_params(path: Path, manifest: dict) -> dict[str, np.ndarray]:
     for entry in manifest["params"]:
         if not isinstance(entry, dict) or "name" not in entry or "shape" not in entry:
             raise CheckpointError(f"manifest params entry {entry!r} lacks a name or a shape")
+        if not isinstance(entry["name"], str):
+            raise CheckpointError(f"parameter name {entry['name']!r} is not a string")
+        if entry["name"] in arrays:
+            raise CheckpointError(f"parameter {entry['name']!r} appears twice in the manifest")
         if entry.get("dtype") != "f64":
             raise CheckpointError(f"unsupported dtype {entry.get('dtype')!r}")
         shape = entry["shape"]

@@ -8,6 +8,7 @@ from graph2text.autograd import GradCheckReport
 from graph2text.cli import RunConfig, main
 from graph2text.data import load_corpus
 from graph2text.model import ModelSettings, Seq2SeqModel, build_model
+from graph2text.objectives import frozen_losses
 from graph2text.synth import gradcheck_pair
 from graph2text.training import save_checkpoint
 from graph2text.vocab import build_vocab
@@ -269,6 +270,17 @@ class TestFinetuneAndGenerate:
         assert code == 1
         assert "trailing bytes" in capsys.readouterr().err
 
+    def test_generate_params_name_not_string_exits_1(self, tmp_path, corpus_file, config_file,
+                                                     capsys):
+        ckpt = self._pretrained(tmp_path, corpus_file, config_file)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["params"][0]["name"] = ["tok_emb"]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["generate", "--ckpt", str(ckpt), "--input", str(corpus_file),
+                     "--out", str(tmp_path / "hyp.txt")])
+        assert code == 1
+        assert "is not a string" in capsys.readouterr().err
+
     def test_seq_checkpoint_into_joint_config(self, tmp_path, corpus_file):
         seq_cfg = write_config(tmp_path / "seq.json", variant="seq")
         out = tmp_path / "pre_seq"
@@ -471,6 +483,36 @@ class TestGradcheckCommand:
                            decoder_layers=1, d_ff=8, max_input_len=22, max_output_len=10)
         code = main(["gradcheck", "--config", str(cfg), "--tol", "1e-18"])
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, monkeypatch, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "frozen_losses", no_sweep)
+        monkeypatch.setattr(cli, "grad_check", no_sweep)
+        assert main(["gradcheck", "--tol", tol]) == 1
+        assert capsys.readouterr().err.startswith("error: --tol must be finite and positive")
+
+    def test_checks_the_closures_of_frozen_losses(self, tmp_path, monkeypatch):
+        built, checked = [], []
+
+        def frozen_spy(model, pair):
+            built.append(frozen_losses(model, pair))
+            return built[-1]
+
+        def grad_check_spy(f, store, tol):
+            checked.append(f)
+            return GradCheckReport({}, tol)
+
+        monkeypatch.setattr(cli, "frozen_losses", frozen_spy)
+        monkeypatch.setattr(cli, "grad_check", grad_check_spy)
+        cfg = write_config(tmp_path / "small.json", d_model=8, encoder_layers=1,
+                           decoder_layers=1, d_ff=8, max_input_len=22, max_output_len=10)
+        assert main(["gradcheck", "--config", str(cfg)]) == 0
+        [losses] = built
+        assert len(checked) == 4
+        assert all(f is g for f, g in zip(checked, losses.values()))
 
 
 class TestLinearize:

@@ -18,7 +18,7 @@ from graph2text.autograd import (
 )
 from graph2text.data import linearize, unit_sequence
 from graph2text.decoder import teacher_forced_states
-from graph2text.errors import MarginalError, NumericError
+from graph2text.errors import Graph2TextError, MarginalError, NumericError
 from graph2text.objectives import (
     LossBundle,
     OTConfig,
@@ -158,23 +158,8 @@ class TestTextReconstruction:
         b = loss_text_reconstruction(model, pair, random.Random(9))
         assert a.item() == b.item()
 
-    def test_gradient_check(self, small):
-        model, pair = small
-        report = grad_check(
-            lambda: loss_text_reconstruction(model, pair, random.Random(7)),
-            model.store, tol=1e-4,
-        )
-        assert report.passed, report.worst()
-
 
 class TestGraphReconstruction:
-    def _seed_with_mask(self, model, pair):
-        with no_grad():
-            for seed in range(100):
-                if loss_graph_reconstruction(model, pair, random.Random(seed)).item() > 0:
-                    return seed
-        raise AssertionError("no seed masked a unit")
-
     def test_no_masked_units_zero_loss_zero_grads(self, toy):
         model, pair = toy
         loss = loss_graph_reconstruction(model, pair, random.Random(0), 0.0, 0.0)
@@ -194,13 +179,16 @@ class TestGraphReconstruction:
         # the corrupted graph tokens, <SEP> and the text, with the clean
         # graph's unit position maps, as one would lay them out by hand
         model, pair = toy
-        seed = self._seed_with_mask(model, pair)
-        seen = []
+        l_graph = objectives.frozen_losses(model, pair)["l_graph"]
+        seen, masks = [], []
         encode = model.encode
         monkeypatch.setattr(model, "encode", lambda inp: seen.append(inp) or encode(inp))
-        loss_graph_reconstruction(model, pair, random.Random(seed))
+        monkeypatch.setattr(
+            objectives, "mask_graph", lambda *a: masks.append(mask_graph(*a)) or masks[-1]
+        )
+        l_graph()
         lin = linearize(pair.graph)
-        masked = mask_graph(lin, random.Random(seed))
+        [masked] = masks
         ids = model.vocab.encode_tokens(masked.corrupted) + [SEP_ID]
         ids += model.vocab.encode_tokens(pair.text)
         [inp] = seen
@@ -209,15 +197,6 @@ class TestGraphReconstruction:
         assert inp.graph_len == lin.m
         assert inp.entity_positions == lin.entity_positions
         assert inp.relation_positions == lin.relation_positions
-
-    def test_gradient_check(self, small):
-        model, pair = small
-        seed = self._seed_with_mask(model, pair)
-        report = grad_check(
-            lambda: loss_graph_reconstruction(model, pair, random.Random(seed)),
-            model.store, tol=1e-4,
-        )
-        assert report.passed, report.worst()
 
 
 class TestOTAlignment:
@@ -242,18 +221,6 @@ class TestOTAlignment:
         units = pair.graph.num_entities + pair.graph.num_relations
         assert graph_vectors.shape == (units, 16)
         assert text_vectors.shape == (pair.n, 16)
-
-    def test_gradient_check_with_frozen_plan(self, small):
-        model, pair = small
-        with no_grad():
-            graph_vectors, text_vectors = alignment_embeddings(model, pair)
-            costs = cosine_cost(graph_vectors, text_vectors)
-            plan = ipot(costs.data, *uniform_marginals(*costs.shape), OTConfig())
-        report = grad_check(
-            lambda: loss_ot_alignment(model, pair, frozen_plan=plan),
-            model.store, tol=1e-4,
-        )
-        assert report.passed, report.worst()
 
 
 def reference_alignment_embeddings(model, pair):
@@ -384,11 +351,6 @@ class TestFinetuneLoss:
         loss = loss_finetune(model, pair)
         assert abs(loss.item() - math.log(len(model.vocab))) < 1e-9
 
-    def test_gradient_check(self, small):
-        model, pair = small
-        report = grad_check(lambda: loss_finetune(model, pair), model.store, tol=1e-4)
-        assert report.passed, report.worst()
-
     @pytest.mark.parametrize("variant", ["seq", "joint", "rel"])
     def test_one_graph_node_per_sublayer(self, variant):
         model, corpus = build_toy_model(variant=variant)
@@ -408,3 +370,39 @@ class TestFinetuneLoss:
         # tied output projection
         assert ops["add"] == 2
         assert ops["matmul"] == 1
+
+
+class TestFrozenLosses:
+    @pytest.mark.parametrize("name", ["l_text", "l_graph", "l_ot", "l_finetune"])
+    def test_gradient_check(self, small, name):
+        model, pair = small
+        report = grad_check(objectives.frozen_losses(model, pair)[name], model.store, tol=1e-4)
+        assert report.passed, report.worst()
+
+    def test_each_closure_bit_deterministic(self, toy):
+        model, pair = toy
+        losses = objectives.frozen_losses(model, pair)
+        assert list(losses) == ["l_text", "l_graph", "l_ot", "l_finetune"]
+        for name, f in losses.items():
+            assert np.array_equal(f().data, f().data), name
+
+    def test_graph_loss_masks_a_unit(self, toy):
+        model, pair = toy
+        assert objectives.frozen_losses(model, pair)["l_graph"]().item() > 0
+
+    def test_plan_solved_once_and_frozen(self, toy, monkeypatch):
+        model, pair = toy
+        calls = []
+        solve = objectives.ipot
+        monkeypatch.setattr(objectives, "ipot", lambda *a: calls.append(a) or solve(*a))
+        losses = objectives.frozen_losses(model, pair)
+        assert len(calls) == 1
+        for f in losses.values():
+            f()
+        assert len(calls) == 1
+
+    def test_no_masking_seed_rejected(self, toy, monkeypatch):
+        model, pair = toy
+        monkeypatch.setattr(objectives, "loss_graph_reconstruction", lambda *a: Tensor(0.0))
+        with pytest.raises(Graph2TextError, match="no masking seed"):
+            objectives.frozen_losses(model, pair)

@@ -301,9 +301,12 @@ class TestCheckpoint:
         (lambda m: m["model"].update(num_heads=0),
          "manifest 'model': num_heads must be at least 1, got 0"),
         (lambda m: m.update(vocab_file=5), "manifest 'vocab_file' is not a string"),
+        (lambda m: m["params"][0].update(name=["tok_emb"]),
+         r"parameter name \['tok_emb'\] is not a string"),
+        (lambda m: m["params"].append(dict(m["params"][0])), "appears twice in the manifest"),
     ], ids=["model-lacks-key", "entry-lacks-name", "entry-lacks-shape", "params-not-list",
             "model-not-object", "shape-not-list", "d-model-not-int", "max-input-len-float",
-            "num-heads-zero", "vocab-file-not-string"])
+            "num-heads-zero", "vocab-file-not-string", "name-not-string", "name-twice"])
     def test_malformed_manifest_rejected(self, tmp_path, edit, message):
         model, _ = self._trained_model()
         path = save_checkpoint(model, tmp_path / "ckpt")
