@@ -3,7 +3,7 @@
 Single-threaded by design: a computation graph belongs to one thread, and a
 graph can be backpropagated exactly once. Gradients accumulate into leaf
 tensors created with ``requires_grad=True``; call ``ParamStore.zero_grads``
-before each backward pass.
+before the first of the backward passes whose gradients are to be summed.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class Tensor:
 
     @property
     def in_graph(self) -> bool:
-        return self.requires_grad or self._backward_fn is not None
+        # a consumed node stays in the graph so that reuse can be caught
+        return self.requires_grad or self._backward_fn is not None or self._consumed
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -230,7 +231,8 @@ def cross_entropy(logits, target_ids) -> Tensor:
     def backward_fn(g):
         grad = np.exp(log_probs)
         grad[rows, targets] -= 1.0
-        return (grad * (g / n),)
+        grad *= g / n
+        return (grad,)
 
     return _make(np.asarray(loss), (logits,), backward_fn)
 
@@ -360,13 +362,15 @@ def _merge_heads(m: np.ndarray) -> np.ndarray:
 def _softmax_attention(q, k, v, scaling: float, blocked=None):
     """Scaled dot-product attention over split heads; ``q``, ``k`` and ``v``
     broadcast as (..., heads, len, d_k) and blocked positions get exactly
-    zero weight. Returns (probs, probs @ v)."""
-    scores = (q @ k.swapaxes(-1, -2)) * scaling
+    zero weight. Returns (probs, probs @ v); the (..., heads, len_q, len_k)
+    temporaries are written into one array."""
+    probs = q @ k.swapaxes(-1, -2)
+    probs *= scaling
     if blocked is not None:
-        scores = np.where(blocked, -np.inf, scores)
-    scores -= scores.max(axis=-1, keepdims=True)
-    exp = np.exp(scores)
-    probs = exp / exp.sum(axis=-1, keepdims=True)
+        np.copyto(probs, -np.inf, where=blocked)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     return probs, probs @ v
 
 
@@ -374,9 +378,11 @@ def _softmax_attention_backward(g_context, q, k, v, probs, scaling: float):
     """Gradients (q, k, v) of ``_softmax_attention``'s ``probs @ v`` whose
     gradient is ``g_context``, each of the broadcast shape: a caller that
     broadcast an operand sums its gradient over those axes. Blocked
-    positions have zero ``probs`` and so pass no gradient."""
-    g_probs = g_context @ v.swapaxes(-1, -2)
-    g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+    positions have zero ``probs`` and so pass no gradient. The score
+    gradient is formed in place in the array of the probability gradient."""
+    g_scores = g_context @ v.swapaxes(-1, -2)
+    g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)
+    g_scores *= probs
     g_scores *= scaling
     return g_scores @ k, g_scores.swapaxes(-1, -2) @ q, probs.swapaxes(-1, -2) @ g_context
 
@@ -479,28 +485,34 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` to ``t.grad``: into a new array on an interior node (a
     backward function may pass one array to several parents), in place into
-    a leaf's buffer; a constant takes nothing."""
+    a leaf's buffer; a constant takes nothing. A node whose graph was
+    already backpropagated has lost its parents and cannot pass ``g`` on."""
     if t._backward_fn is not None:
         t.grad = g if t.grad is None else t.grad + g
     elif t.requires_grad:
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
         t.grad += g
+    elif t._consumed:
+        raise UsageError("an operand's graph was already backpropagated; rebuild the forward pass")
 
 
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar; may run once per computation graph.
-    An interior node holds its gradient until its backward function runs."""
+    An interior node holds its gradient until its backward function runs;
+    then it drops that function and its parents, which frees the arrays the
+    function saved, so the graph is released as the sweep goes."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if loss._consumed:
         raise UsageError("backward was already called on this graph; rebuild the forward pass")
-    loss._consumed = True
     _accumulate(loss, np.ones_like(loss.data))
+    loss._consumed = True
     for node in reversed(_toposort(loss)):
         g, node.grad = node.grad, None
         for parent, pg in zip(node._parents, node._backward_fn(g)):
             _accumulate(parent, pg)
+        node._backward_fn, node._parents, node._consumed = None, (), True
 
 
 class ParamStore:
@@ -535,8 +547,13 @@ class ParamStore:
         return sum(t.data.size for t in self._params.values())
 
     def zero_grads(self) -> None:
+        """Zero each parameter's gradient buffer, in place once it exists,
+        so one buffer per parameter serves the whole run."""
         for t in self._params.values():
-            t.grad = np.zeros_like(t.data)
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            else:
+                t.grad.fill(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import ParamStore, add, backward, scale
+from .autograd import ParamStore, backward, scale
 from .encoder import require_sizes
 from .errors import CheckpointError, EmptyCorpus, NumericError, UsageError
 from .model import ModelSettings, Seq2SeqModel, build_model
@@ -104,7 +104,8 @@ def clip_gradients(store: ParamStore, max_norm: float) -> float:
 
 
 def adam_step(store: ParamStore, state: AdamState, lr: float, cfg: TrainConfig) -> None:
-    """Bias-corrected Adam update; consumes (and clears) the gradients."""
+    """Bias-corrected Adam update from the gradients, with the moments
+    updated in place."""
     beta1, beta2 = cfg.adam_betas
     state.step += 1
     correction1 = 1.0 - beta1**state.step
@@ -112,12 +113,12 @@ def adam_step(store: ParamStore, state: AdamState, lr: float, cfg: TrainConfig) 
     for name, t in store.items():
         if t.grad is None:
             raise UsageError(f"parameter {name!r} has no gradient; run backward first")
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * t.grad
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * (t.grad * t.grad)
-        m_hat = state.m[name] / correction1
-        v_hat = state.v[name] / correction2
-        t.data -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-        t.grad = None
+        m, v = state.m[name], state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * t.grad
+        v *= beta2
+        v += (1.0 - beta2) * (t.grad * t.grad)
+        t.data -= lr * (m / correction1) / (np.sqrt(v / correction2) + cfg.adam_eps)
 
 
 def _pair_rng(seed: int, step: int, index: int) -> random.Random:
@@ -178,9 +179,9 @@ def train(
                             sums["l_text"] += loss.item()
                     except NumericError as exc:
                         raise NumericError(f"step {step}, pair {idx}: {exc}") from exc
-                    total = loss if total is None else add(total, loss)
-                mean_loss = scale(total, 1.0 / len(batch))
-                backward(mean_loss)
+                    # backpropagated at once, so only one pair's graph is alive
+                    total = loss.item() if total is None else total + loss.item()
+                    backward(scale(loss, 1.0 / len(batch)))
                 norm = clip_gradients(model.store, cfg.max_grad_norm)
                 lr = lr_at(step, total_steps, cfg)
                 record = {
@@ -189,7 +190,7 @@ def train(
                     "l_text": sums["l_text"] / len(batch),
                     "l_graph": sums["l_graph"] / len(batch),
                     "l_ot": sums["l_ot"] / len(batch),
-                    "total": mean_loss.item(),
+                    "total": total * (1.0 / len(batch)),
                 }
                 # NaN > max_norm is False, so a non-finite norm never clips:
                 # stop before the update reaches a parameter or the log

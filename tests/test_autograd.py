@@ -167,6 +167,57 @@ class TestSharedAttentionCore:
         assert calls == ["_softmax_attention", "_softmax_attention_backward"]
 
 
+def _out_of_place_attention(q, k, v, scaling, blocked=None):
+    """Reference attention core: every step allocates its own array."""
+    scores = (q @ k.swapaxes(-1, -2)) * scaling
+    if blocked is not None:
+        scores = np.where(blocked, -np.inf, scores)
+    scores = scores - scores.max(axis=-1, keepdims=True)
+    exp = np.exp(scores)
+    probs = exp / exp.sum(axis=-1, keepdims=True)
+    return probs, probs @ v
+
+
+def _out_of_place_attention_backward(g_context, q, k, v, probs, scaling):
+    g_probs = g_context @ v.swapaxes(-1, -2)
+    g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * scaling
+    return g_scores @ k, g_scores.swapaxes(-1, -2) @ q, probs.swapaxes(-1, -2) @ g_context
+
+
+class TestInPlaceAttentionCore:
+    """The attention core writes its (..., heads, len_q, len_k) temporaries
+    into one array and matches the out-of-place formulas bit for bit."""
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 5, 3), (2, 6, 3)),          # heads, queries over one memory
+        ((4, 2, 1, 3), (4, 2, 4, 3)),    # per-entity queries over own keys
+    ], ids=["heads", "entity-batched"])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bitwise_equal_to_out_of_place(self, shapes, masked):
+        rng = np.random.default_rng(31)
+        (q_shape, kv_shape), scaling = shapes, 1.0 / math.sqrt(3)
+        q, k, v = rng.normal(size=q_shape), rng.normal(size=kv_shape), rng.normal(size=kv_shape)
+        blocked = None
+        if masked:
+            blocked = rng.random(q_shape[-2:-1] + kv_shape[-2:-1]) < 0.4
+            blocked[:, 0] = False  # every query keeps one key
+        originals = [a.copy() for a in (q, k, v)]
+        probs, context = ag._softmax_attention(q, k, v, scaling, blocked)
+        ref_probs, ref_context = _out_of_place_attention(q, k, v, scaling, blocked)
+        assert probs.tobytes() == ref_probs.tobytes()
+        assert context.tobytes() == ref_context.tobytes()
+        if masked:
+            assert (probs[..., blocked] == 0.0).all()
+        g_context = rng.normal(size=context.shape)
+        grads = ag._softmax_attention_backward(g_context, q, k, v, probs, scaling)
+        reference = _out_of_place_attention_backward(g_context, q, k, v, ref_probs, scaling)
+        for got, want in zip(grads, reference):
+            assert got.tobytes() == want.tobytes()
+        for before, after in zip(originals, (q, k, v)):
+            assert np.array_equal(before, after)
+        assert probs.tobytes() == ref_probs.tobytes()  # the backward left probs alone
+
+
 class TestFixedPointExamples:
     def test_layer_norm_constant_vector(self):
         gain = Tensor(np.full(4, 2.0))
@@ -279,6 +330,29 @@ class TestBackwardContract:
         backward(loss)
         with pytest.raises(UsageError):
             backward(loss)
+
+    def test_backward_releases_the_graph_and_stays_single_use(self):
+        corpus = overfit_corpus(2)
+        model, _ = build_toy_model(corpus=corpus)
+        model.store.zero_grads()
+        loss = loss_finetune(model, corpus[0])
+        order = ag._toposort(loss)
+        assert order and all(node._parents for node in order)
+        backward(loss)
+        assert all(node._backward_fn is None and node._parents == () for node in order)
+        with pytest.raises(UsageError):
+            backward(loss)
+
+    def test_reusing_a_backpropagated_node_raises(self):
+        # the node lost its parents, so a new graph on it would drop x's gradient
+        store = ParamStore()
+        x = store.add("x", np.array([[3.0]]))
+        store.zero_grads()
+        y = ag.matmul(x, x)
+        backward(ag.weighted_sum(y, np.ones((1, 1))))
+        with pytest.raises(UsageError, match="already backpropagated"):
+            backward(ag.weighted_sum(y, np.ones((1, 1))))
+        assert np.array_equal(x.grad, [[6.0]])
 
     def test_sum_of_squares_gradient(self):
         # x @ x.T of a (1, 3) row is its sum of squares; x reaches it twice

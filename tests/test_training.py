@@ -1,11 +1,15 @@
 import json
+import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graph2text import training
-from graph2text.autograd import ParamStore, backward
+from graph2text.autograd import ParamStore, add, backward, scale
 from graph2text.errors import CheckpointError, NumericError, UsageError
+from graph2text.objectives import combined_pretrain_loss, loss_finetune
 from graph2text.synth import build_toy_model, overfit_corpus
 from graph2text.training import (
     AdamState,
@@ -112,6 +116,24 @@ class TestAdam:
         store.add("p", np.array([0.0]))
         with pytest.raises(UsageError):
             adam_step(store, AdamState(store), 0.1, TrainConfig())
+
+    def test_buffers_and_moments_live_for_the_run(self):
+        corpus = overfit_corpus(2)
+        model, _ = build_toy_model(corpus=corpus)
+        store, state = model.store, AdamState(model.store)
+        store.zero_grads()
+        buffers = {name: id(t.grad) for name, t in store.items()}
+        moments = {name: (id(state.m[name]), id(state.v[name])) for name, _ in store.items()}
+        for pair in corpus:
+            store.zero_grads()
+            backward(loss_finetune(model, pair))
+            adam_step(store, state, 1e-3, TrainConfig())
+        assert {name: id(t.grad) for name, t in store.items()} == buffers
+        assert {name: (id(state.m[name]), id(state.v[name])) for name, _ in store.items()} == moments
+        assert any(t.grad.any() for _, t in store.items())
+        store.zero_grads()
+        assert {name: id(t.grad) for name, t in store.items()} == buffers
+        assert not any(t.grad.any() for _, t in store.items())
 
     def test_matches_reference_on_random_problem(self):
         rng = np.random.default_rng(0)
@@ -230,6 +252,76 @@ class TestTrainLoop:
         assert rec["l_text"] > 0 and rec["l_graph"] >= 0 and rec["l_ot"] > 0
         expected = rec["l_text"] + rec["l_graph"] + rec["l_ot"]
         assert rec["total"] == pytest.approx(expected, rel=1e-9)
+
+
+def whole_batch_train(corpus, model, cfg):
+    """Reference loop: each batch's pair losses chained with ``add`` into one
+    graph, then one ``backward`` from their mean, clipping and Adam."""
+    order_rng, state = random.Random(cfg.seed), AdamState(model.store)
+    batches_per_epoch = math.ceil(len(corpus) / cfg.batch_size)
+    records, step = [], 0
+    for _ in range(cfg.epochs):
+        indices = list(range(len(corpus)))
+        order_rng.shuffle(indices)
+        for b in range(batches_per_epoch):
+            batch = indices[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            model.store.zero_grads()
+            total, sums = None, {"l_text": 0.0, "l_graph": 0.0, "l_ot": 0.0}
+            for k, idx in enumerate(batch):
+                if cfg.task == "pretrain":
+                    bundle = combined_pretrain_loss(
+                        model, corpus[idx], training._pair_rng(cfg.seed, step, k),
+                        cfg.loss_weights, cfg.ot_config,
+                    )
+                    loss = bundle.total
+                    for key, value in bundle.components().items():
+                        sums[key] += value
+                else:
+                    loss = loss_finetune(model, corpus[idx])
+                    sums["l_text"] += loss.item()
+                total = loss if total is None else add(total, loss)
+            mean_loss = scale(total, 1.0 / len(batch))
+            backward(mean_loss)
+            clip_gradients(model.store, cfg.max_grad_norm)
+            lr = lr_at(step, cfg.epochs * batches_per_epoch, cfg)
+            records.append({"step": step, "lr": lr, **{key: value / len(batch)
+                            for key, value in sums.items()}, "total": mean_loss.item()})
+            adam_step(model.store, state, lr, cfg)
+            step += 1
+    return records
+
+
+class TestStreamedBackward:
+    """``train`` backpropagates each pair as soon as its loss is built."""
+
+    @pytest.mark.parametrize("task", ["pretrain", "finetune"])
+    @pytest.mark.parametrize("variant", ["joint", "rel", "seq"])
+    def test_bitwise_equal_to_whole_batch_backward(self, variant, task):
+        corpus = overfit_corpus(7)  # batches of 3, 3 and a ragged 1
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=3, epochs=2, seed=5, task=task)
+        streamed, _ = build_toy_model(corpus=corpus, variant=variant)
+        reference, _ = build_toy_model(corpus=corpus, variant=variant)
+        records = train(corpus, streamed, cfg)
+        expected = whole_batch_train(corpus, reference, cfg)
+        assert json.dumps(records) == json.dumps(expected)
+        for name, t in streamed.store.items():
+            assert t.data.tobytes() == reference.store[name].data.tobytes(), name
+
+    @pytest.mark.parametrize("task", ["pretrain", "finetune"])
+    def test_one_pair_graph_alive_at_a_time(self, task):
+        pair = overfit_corpus(1)[0]
+        peaks = []
+        for batch_size in (1, 4):
+            model, _ = build_toy_model(corpus=[pair])
+            cfg = TrainConfig(learning_rate=1e-3, batch_size=batch_size, task=task)
+            tracemalloc.start()
+            try:
+                train([pair] * batch_size, model, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a step that kept every pair's graph until one backward grew ~4x
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestCheckpoint:
