@@ -49,6 +49,7 @@ from .training import (
     init_model_from_checkpoint,
     load_checkpoint,
     lr_at,
+    read_checkpoint,
     save_checkpoint,
     train,
 )

@@ -148,6 +148,8 @@ def log_softmax(x, axis: int = -1) -> Tensor:
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_LN_EPS = 1e-5
+_COSINE_EPS = 1e-12
 
 
 def _gelu(v: np.ndarray, slope: bool):
@@ -165,13 +167,13 @@ def _gelu(v: np.ndarray, slope: bool):
     return y, 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * d_inner
 
 
-def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Layer norm over the last axis; returns (y, xhat, inv_std)."""
     d = x.shape[-1]
     mu = x.sum(axis=-1, keepdims=True) / d
     centered = x - mu
     var = (centered * centered).sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = centered * inv_std
     return xhat * gain + bias, xhat, inv_std
 
@@ -189,13 +191,13 @@ def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, g
     return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"layer_norm expects gain/bias of shape ({d},)")
-    y, xhat, inv_std = _layer_norm_forward(x.data, gain.data, bias.data, eps)
+    y, xhat, inv_std = _layer_norm_forward(x.data, gain.data, bias.data)
     return _make(y, (x, gain, bias), lambda g: _layer_norm_backward(g, xhat, inv_std, gain.data))
 
 
@@ -237,10 +239,10 @@ def cross_entropy(logits, target_ids) -> Tensor:
     return _make(np.asarray(loss), (logits,), backward_fn)
 
 
-def cosine_cost(a, b, eps: float = 1e-12) -> Tensor:
+def cosine_cost(a, b) -> Tensor:
     """Pairwise cosine distance: C[i, j] = 1 - <a_i, b_j> / (|a_i||b_j| + eps).
 
-    Rows must not be exactly zero; the eps only guards the division.
+    Rows must not be exactly zero; eps (1e-12) only guards the division.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
@@ -248,7 +250,7 @@ def cosine_cost(a, b, eps: float = 1e-12) -> Tensor:
     norm_a = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
     norm_b = np.sqrt((b.data * b.data).sum(axis=1, keepdims=True))
     dots = a.data @ b.data.T
-    denom = norm_a @ norm_b.T + eps
+    denom = norm_a @ norm_b.T + _COSINE_EPS
 
     def backward_fn(g):
         g_dots = -g / denom

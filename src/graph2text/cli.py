@@ -30,9 +30,9 @@ from .objectives import OTConfig, frozen_losses
 from .synth import gradcheck_pair, toy_configs
 from .training import (
     TrainConfig,
-    checkpoint_vocab,
     init_model_from_checkpoint,
     load_checkpoint,
+    read_checkpoint,
     train,
 )
 from .vocab import build_vocab
@@ -76,7 +76,6 @@ class RunConfig(ModelSettings):
     def __post_init__(self):
         # every key is checked, whichever command reads the config
         super().__post_init__()
-        self.configs()
         self.train_config("pretrain")
         BeamConfig(self.beam_size, self.length_penalty, self.max_output_len)
 
@@ -158,11 +157,11 @@ def cmd_train(args) -> int:
     if not corpus:
         raise EmptyCorpus(f"corpus {args.corpus} holds no pairs")
     _validate_lengths(cfg, corpus)
-    finetune = args.command == "finetune"
-    vocab = checkpoint_vocab(args.init) if finetune else build_vocab(corpus, min_freq=cfg.min_freq)
+    init = read_checkpoint(args.init) if args.command == "finetune" else None
+    vocab = build_vocab(corpus, min_freq=cfg.min_freq) if init is None else init.vocab
     model = build_model(vocab, *cfg.configs(), seed=cfg.seed)
-    if finetune:
-        init_model_from_checkpoint(model, args.init)
+    if init is not None:
+        init_model_from_checkpoint(model, init)
     out_dir = Path(args.out)
     _write_resolved_config(cfg, out_dir)
     train(corpus, model, train_cfg, out_dir)

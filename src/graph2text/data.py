@@ -220,8 +220,6 @@ def _parse_record(line_no: int, record: dict) -> GraphTextPair:
         # type(...) is int: JSON true/false load as bool, a subclass of int
         if not (type(head) is int and type(tail) is int):
             raise CorpusParseError(line_no, f"triple indices must be integers, got {t!r}")
-        if not (1 <= head <= len(entities) and 1 <= tail <= len(entities)):
-            raise CorpusParseError(line_no, f"triple {t!r} references a missing entity")
         if (head, tail) in relations:
             raise CorpusParseError(line_no, f"duplicate relation for pair ({head}, {tail})")
         relations[(head, tail)] = rel.casefold()
@@ -229,13 +227,6 @@ def _parse_record(line_no: int, record: dict) -> GraphTextPair:
     if not isinstance(record["text"], str):
         raise CorpusParseError(line_no, "'text' must be a string")
     text = tuple(record["text"].casefold().split())
-    if not text:
-        raise CorpusParseError(line_no, "'text' is empty")
-
-    try:
-        graph = KnowledgeGraph(entities, relations)
-    except (ValueError, GraphHasNoTriples) as exc:
-        raise CorpusParseError(line_no, str(exc)) from exc
 
     if "mentions" in record and record["mentions"] is not None:
         if not isinstance(record["mentions"], dict):
@@ -246,19 +237,20 @@ def _parse_record(line_no: int, record: dict) -> GraphTextPair:
                 idx = int(key)
             except (TypeError, ValueError):
                 raise CorpusParseError(line_no, f"bad mention key {key!r}") from None
-            if not (1 <= idx <= len(entities)):
-                raise CorpusParseError(line_no, f"mention key {idx} references a missing entity")
             if not isinstance(positions, list):
                 raise CorpusParseError(line_no, f"mention positions {positions!r} must be an array")
-            if not all(type(p) is int and 1 <= p <= len(text) for p in positions):
-                raise CorpusParseError(
-                    line_no, f"mention positions {positions!r} must be integers in [1, {len(text)}]"
-                )
+            if not all(type(p) is int for p in positions):
+                raise CorpusParseError(line_no, f"mention positions {positions!r} must be integers")
             mentions[idx] = frozenset(positions)
     else:
         mentions = find_entity_mentions(entities, text)
 
-    return GraphTextPair(graph=graph, text=text, entity_mentions=mentions)
+    # the range and emptiness rules live in the two constructors
+    try:
+        graph = KnowledgeGraph(entities, relations)
+        return GraphTextPair(graph=graph, text=text, entity_mentions=mentions)
+    except (ValueError, GraphHasNoTriples) as exc:
+        raise CorpusParseError(line_no, str(exc)) from exc
 
 
 def load_corpus(path) -> list[GraphTextPair]:

@@ -160,7 +160,7 @@ def _top_tokens(logprobs: np.ndarray, k: int) -> list[tuple[int, int]]:
     return picked
 
 
-def beam_search(step_logprobs, beam: BeamConfig, eos_id: int = EOS_ID) -> list[int]:
+def beam_search(step_logprobs, beam: BeamConfig) -> list[int]:
     """Generic beam search over a batched step function.
 
     ``step_logprobs(parent_rows, last_tokens)`` extends a block of prefixes by
@@ -172,7 +172,7 @@ def beam_search(step_logprobs, beam: BeamConfig, eos_id: int = EOS_ID) -> list[i
     a call has the same length. All live hypotheses, and for beams above one
     the greedy rollout as one extra row, advance in one call per step.
 
-    A hypothesis ends when it emits ``eos_id`` or reaches ``max_len`` tokens;
+    A hypothesis ends when it emits ``EOS_ID`` or reaches ``max_len`` tokens;
     its score is the sum of token log probabilities divided by
     length**length_penalty, the length counting every emitted token including
     the end marker. Token-level ties break toward the lower id. The greedy
@@ -202,7 +202,7 @@ def beam_search(step_logprobs, beam: BeamConfig, eos_id: int = EOS_ID) -> list[i
         candidates.sort(key=lambda c: (-c[0], c[2]))
         live = []
         for score, total, seq, row in candidates:
-            if seq[-1] == eos_id:
+            if seq[-1] == EOS_ID:
                 finished.append((score, seq))
             elif len(live) < beam.beam_size:
                 live.append((total, seq, row))
@@ -215,7 +215,7 @@ def beam_search(step_logprobs, beam: BeamConfig, eos_id: int = EOS_ID) -> list[i
             total += float(lp[token])
             prefix = prefix + [token]
             greedy = (total, prefix, row)
-            if token == eos_id or len(prefix) == beam.max_len:
+            if token == EOS_ID or len(prefix) == beam.max_len:
                 greedy_result = (penalized(total, len(prefix)), prefix)
                 greedy = None
         extended = live + ([greedy] if greedy is not None else [])

@@ -59,10 +59,6 @@ class EncoderConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
-    @property
-    def d_k(self) -> int:
-        return self.d_model // self.num_heads
-
 
 @dataclass(frozen=True)
 class EncoderInput:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .errors import EvalError
 
 _ZERO_COUNT_EPS = 1e-9
+_BLEU_MAX_N = 4
 
 
 @dataclass
@@ -63,28 +64,28 @@ def _closest_ref_length(hyp_len: int, references) -> int:
     return min((abs(len(r) - hyp_len), len(r)) for r in references)[1]
 
 
-def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
-    """Geometric mean of corpus-level modified n-gram precisions times the
-    brevity penalty.
+def corpus_bleu(hypotheses, references) -> float:
+    """Geometric mean of corpus-level modified n-gram precisions, orders 1
+    to 4, times the brevity penalty.
 
     Zero-count precisions get an epsilon numerator so the score stays
     defined; orders for which the whole corpus has no n-grams at all (every
     hypothesis shorter than n) are left out of the mean, so identical short
     corpora still score 100.
     """
-    return _bleu(hypotheses, _normalize_references(hypotheses, references), max_n)
+    return _bleu(hypotheses, _normalize_references(hypotheses, references))
 
 
-def _bleu(hypotheses, refs, max_n: int) -> float:
-    clipped = [0] * max_n
-    totals = [0] * max_n
+def _bleu(hypotheses, refs) -> float:
+    clipped = [0] * _BLEU_MAX_N
+    totals = [0] * _BLEU_MAX_N
     hyp_len = 0
     ref_len = 0
     for hyp, ref_list in zip(hypotheses, refs):
         hyp = list(hyp)
         hyp_len += len(hyp)
         ref_len += _closest_ref_length(len(hyp), ref_list)
-        for n in range(1, max_n + 1):
+        for n in range(1, _BLEU_MAX_N + 1):
             c, t = clipped_ngram_counts(hyp, ref_list, n)
             clipped[n - 1] += c
             totals[n - 1] += t
@@ -147,7 +148,7 @@ def evaluate_corpus(hypotheses, references) -> EvalReport:
     refs = _normalize_references(hypotheses, references)
     scores = [_rouge_l(list(h), r) for h, r in zip(hypotheses, refs)]
     return EvalReport(
-        bleu=_bleu(hypotheses, refs, max_n=4),
+        bleu=_bleu(hypotheses, refs),
         rouge_l=sum(scores) / len(hypotheses),
         per_example=[{"index": i, "rouge_l": score} for i, score in enumerate(scores)],
     )

@@ -34,8 +34,8 @@ class ModelSettings:
 
     Run configs and checkpoint manifests store these keys; ``configs`` and
     ``of`` translate between them and the encoder/decoder configs. Every
-    field (a subclass's too) must have its default's type, or construction
-    raises ``ValueError`` naming the field.
+    field (a subclass's too) must have its default's type and pass those
+    configs' checks, or construction raises ``ValueError`` naming the field.
     """
 
     variant: str = VARIANT_JOINT
@@ -54,6 +54,7 @@ class ModelSettings:
                 raise ValueError(
                     f"{f.name} must have the type of its default {f.default!r}, got {value!r}"
                 )
+        self.configs()  # the encoder and decoder configs check the ranges
 
     def configs(self) -> tuple[EncoderConfig, DecoderConfig]:
         enc = EncoderConfig(

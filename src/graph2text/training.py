@@ -283,7 +283,7 @@ def _read_params(path: Path, manifest: dict) -> dict[str, np.ndarray]:
         shape = entry["shape"]
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
             raise CheckpointError(f"shape of {entry['name']!r} is not a list of sizes: {shape!r}")
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)  # exact: np.prod wraps at int64
         if offset + size > raw.size:
             raise CheckpointError("parameter file is truncated")
         arrays[entry["name"]] = raw[offset : offset + size].reshape(shape).astype(np.float64)
@@ -292,6 +292,42 @@ def _read_params(path: Path, manifest: dict) -> dict[str, np.ndarray]:
     if bin_path.stat().st_size != 8 * offset:
         raise CheckpointError("parameter file has trailing bytes beyond the manifest")
     return arrays
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """A checkpoint directory's contents, each part checked on reading."""
+
+    settings: ModelSettings
+    vocab: Vocabulary
+    arrays: dict[str, np.ndarray]
+
+
+def read_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint directory once: the manifest's model settings
+    (types and ranges checked), the vocabulary (checked against the
+    manifest's ``vocab_size``) and the parameter arrays."""
+    path = Path(path)
+    manifest = _read_manifest(path)
+    model_section = manifest["model"]
+    try:
+        settings = ModelSettings(
+            **{f.name: model_section[f.name] for f in dataclasses.fields(ModelSettings)}
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"manifest 'model' lacks {exc}") from exc
+    except ValueError as exc:
+        raise CheckpointError(f"manifest 'model': {exc}") from exc
+    # a bare file name: any other path leaves the directory, and ".." is no file
+    vocab_path = path / manifest["vocab_file"]
+    if vocab_path.name != manifest["vocab_file"] or not vocab_path.is_file():
+        raise CheckpointError(
+            f"vocab_file {manifest['vocab_file']!r} is not a file in the checkpoint directory"
+        )
+    vocab, size = Vocabulary.load(vocab_path), model_section.get("vocab_size")
+    if size != len(vocab):
+        raise CheckpointError(f"vocabulary size {len(vocab)} disagrees with manifest {size}")
+    return Checkpoint(settings, vocab, _read_params(path, manifest))
 
 
 def _copy_params(store: ParamStore, arrays: dict[str, np.ndarray]) -> None:
@@ -307,59 +343,30 @@ def _copy_params(store: ParamStore, arrays: dict[str, np.ndarray]) -> None:
         t.data = arrays[name]
 
 
-def _read_vocab(path: Path, manifest: dict) -> Vocabulary:
-    vocab_path = path / manifest["vocab_file"]
-    if not vocab_path.is_file():
-        raise CheckpointError(f"missing vocabulary file: {vocab_path}")
-    vocab, size = Vocabulary.load(vocab_path), manifest["model"].get("vocab_size")
-    if size != len(vocab):
-        raise CheckpointError(f"vocabulary size {len(vocab)} disagrees with manifest {size}")
-    return vocab
-
-
-def checkpoint_vocab(path: str | Path) -> Vocabulary:
-    """The vocabulary of a checkpoint directory, checked against its
-    manifest; the parameters are not read."""
-    path = Path(path)
-    return _read_vocab(path, _read_manifest(path))
-
-
 def load_checkpoint(path: str | Path) -> Seq2SeqModel:
     """Rebuild the model from a checkpoint directory, bit-for-bit."""
-    path = Path(path)
-    manifest = _read_manifest(path)
-    vocab = _read_vocab(path, manifest)
-    mc = manifest["model"]
-    try:
-        enc_cfg, dec_cfg = ModelSettings(
-            **{f.name: mc[f.name] for f in dataclasses.fields(ModelSettings)}
-        ).configs()
-    except KeyError as exc:
-        raise CheckpointError(f"manifest 'model' lacks {exc}") from exc
-    except ValueError as exc:
-        raise CheckpointError(f"manifest 'model': {exc}") from exc
-    model = build_model(vocab, enc_cfg, dec_cfg, seed=0)
-    arrays = _read_params(path, manifest)
-    if set(arrays) != set(model.store.names()):
-        missing = sorted(set(model.store.names()) - set(arrays))
-        extra = sorted(set(arrays) - set(model.store.names()))
-        raise CheckpointError(f"parameter names disagree (missing {missing}, extra {extra})")
-    _copy_params(model.store, arrays)
+    ckpt = read_checkpoint(path)
+    model = build_model(ckpt.vocab, *ckpt.settings.configs(), seed=0)
+    extra = sorted(set(ckpt.arrays) - set(model.store.names()))
+    if extra:  # a missing name fails in _copy_params
+        raise CheckpointError(f"checkpoint holds parameters the model lacks: {extra}")
+    _copy_params(model.store, ckpt.arrays)
     return model
 
 
-def init_model_from_checkpoint(model: Seq2SeqModel, path: str | Path) -> None:
-    """Copy matching parameters from a checkpoint into an existing model.
+def init_model_from_checkpoint(model: Seq2SeqModel, ckpt: Checkpoint) -> None:
+    """Copy matching parameters from a read checkpoint into an existing model.
 
+    The model's vocabulary must be the checkpoint's, token for token.
     Structure/aggregation weights absent from the checkpoint (fine-tuning a
     richer variant from a plainer one) are zero-initialized, which makes the
     first forward pass reproduce the plain model exactly. Any other missing
     parameter, or any shape mismatch, is an error. Extra checkpoint
     parameters are ignored.
     """
-    path = Path(path)
-    manifest = _read_manifest(path)
-    arrays = _read_params(path, manifest)
+    if model.vocab.id_to_token != ckpt.vocab.id_to_token:
+        raise CheckpointError("model vocabulary differs from the checkpoint's")
+    arrays = {name: array.copy() for name, array in ckpt.arrays.items()}  # one per model
     for name, t in model.store.items():
         if name not in arrays and any(marker in name for marker in _OPTIONAL_PARAM_MARKERS):
             arrays[name] = np.zeros_like(t.data)

@@ -1,4 +1,6 @@
 import json
+import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ from graph2text import cli, training
 from graph2text.autograd import GradCheckReport
 from graph2text.cli import RunConfig, main
 from graph2text.data import load_corpus
+from graph2text.errors import CheckpointError
 from graph2text.model import ModelSettings, Seq2SeqModel, build_model
 from graph2text.objectives import frozen_losses
 from graph2text.synth import gradcheck_pair
@@ -50,6 +53,12 @@ def write_config(path: Path, **overrides) -> Path:
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return path
+
+
+def edit_manifest(path: Path, edit) -> None:
+    manifest = json.loads((path / "manifest.json").read_text())
+    edit(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest))
 
 
 @pytest.fixture
@@ -253,6 +262,41 @@ class TestFinetuneAndGenerate:
         assert code == 0
         assert reads == [ckpt]
 
+    def test_finetune_reads_init_manifest_once(self, tmp_path, corpus_file, config_file,
+                                               monkeypatch):
+        ckpt = self._pretrained(tmp_path, corpus_file, config_file)
+        reads = []
+        original = training._read_manifest
+
+        def spy(path):
+            reads.append(path)
+            return original(path)
+
+        monkeypatch.setattr(training, "_read_manifest", spy)
+        code = main(["finetune", "--config", str(config_file), "--corpus", str(corpus_file),
+                     "--init", str(ckpt), "--out", str(tmp_path / "ft")])
+        assert code == 0
+        assert reads == [ckpt]
+
+    @pytest.mark.parametrize("edit", [
+        lambda m, ckpt: m["model"].update(num_heads=0),
+        lambda m, ckpt: m["model"].update(variant="bogus"),
+        lambda m, ckpt: m["model"].pop("d_ff"),
+        lambda m, ckpt: m["model"].update(vocab_size=m["model"]["vocab_size"] + 1),
+        lambda m, ckpt: m.update(vocab_file=str(ckpt / "vocab.txt")),
+    ], ids=["num-heads-zero", "variant-bogus", "model-lacks-key", "vocab-size", "vocab-file"])
+    def test_finetune_rejects_what_generate_rejects(self, tmp_path, corpus_file, config_file,
+                                                     capsys, edit):
+        ckpt = self._pretrained(tmp_path, corpus_file, config_file)
+        edit_manifest(ckpt, lambda manifest: edit(manifest, ckpt))
+        capsys.readouterr()
+        for argv in (["generate", "--ckpt", str(ckpt), "--input", str(corpus_file),
+                      "--out", str(tmp_path / "hyp.txt")],
+                     ["finetune", "--config", str(config_file), "--corpus", str(corpus_file),
+                      "--init", str(ckpt), "--out", str(tmp_path / "ft")]):
+            assert main(argv) == 1, argv[0]
+            assert capsys.readouterr().err.startswith("error: "), argv[0]
+
     def test_finetune_shape_mismatch_exits_1(self, tmp_path, corpus_file, config_file):
         ckpt = self._pretrained(tmp_path, corpus_file, config_file)
         bigger = write_config(tmp_path / "big.json", d_model=32)
@@ -324,6 +368,148 @@ class TestFinetuneAndGenerate:
                      "--out", str(tmp_path / "h")])
         assert code == 1
         assert "manifest 'model' lacks 'd_ff'" in capsys.readouterr().err
+
+
+# the CI smoke run's model and corpus
+D8_CONFIG = {"d_model": 8, "num_heads": 2, "encoder_layers": 1, "decoder_layers": 2, "d_ff": 8,
+             "max_input_len": 22, "max_output_len": 10}
+ONE_PAIR = {"entities": ["ada", "bo"], "triples": [[1, "likes", 2]], "text": "ada likes bo"}
+
+
+def _mutate_model_key(key):
+    def mutate(path, rng):
+        def edit(manifest):
+            value = manifest["model"][key]
+            if isinstance(value, str):
+                candidates = ["bogus", "seq", "rel", "", 5, None]
+            else:  # sizes stay within twice the config's: the model is built first
+                candidates = [0, -1, 1, value // 2, value + 1, 2 * value, float(value),
+                              str(value), True, None, [value]]
+            if rng.random() < 0.15:
+                del manifest["model"][key]
+            else:
+                manifest["model"][key] = rng.choice(candidates)
+        edit_manifest(path, edit)
+    return mutate
+
+
+def _mutate_params_entry(index):
+    def mutate(path, rng):
+        def edit(manifest):
+            entry = manifest["params"][index]
+            field = rng.choice(["name", "shape", "dtype"])
+            shape = entry["shape"]
+            candidates = {
+                "name": [manifest["params"][index - 1]["name"], "bogus", [entry["name"]], None],
+                "shape": [shape[::-1], [], [2 * shape[0]] + shape[1:], shape + [1],
+                          [3, 6148914691236517206], [-1] + shape[1:], [True] + shape[1:],
+                          str(shape[0])],
+                "dtype": ["f32", "<f8", None],
+            }[field]
+            if rng.random() < 0.15:
+                del entry[field]
+            else:
+                entry[field] = rng.choice(candidates)
+        edit_manifest(path, edit)
+    return mutate
+
+
+def _mutate_vocab_file(path, rng):
+    value = rng.choice([str(path / "vocab.txt"), f"../{path.name}/vocab.txt", "..", ".", "",
+                        "missing.txt", "manifest.json", "params.bin", 5, None])
+    edit_manifest(path, lambda manifest: manifest.update(vocab_file=value))
+
+
+def _mutate_vocab_lines(path, rng):
+    lines = (path / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    kind = rng.choice(["delete", "copy", "swap", "blank", "append", "insert", "bytes"])
+    if kind == "bytes":
+        (path / "vocab.txt").write_bytes(b"\xff\xfe" + (path / "vocab.txt").read_bytes())
+        return
+    if kind == "delete":
+        del lines[i]
+    elif kind == "copy":
+        lines[i] = lines[j]
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "blank":
+        lines[i] = ""
+    elif kind == "append":
+        lines.append("zed")
+    else:
+        lines.insert(i, "zed")
+    (path / "vocab.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _mutate_params_length(path, rng):
+    params = path / "params.bin"
+    raw = params.read_bytes()
+    cut = rng.choice([1, 3, 8, 16, len(raw)])
+    if rng.random() < 0.5:
+        params.write_bytes(raw[:-cut])
+    else:
+        params.write_bytes(raw + bytes(rng.randrange(256) for _ in range(min(cut, 24))))
+
+
+MUTATIONS = {
+    **{f"model-{key}": _mutate_model_key(key) for key in
+       ("variant", "d_model", "encoder_layers", "decoder_layers", "num_heads", "d_ff",
+        "max_input_len", "max_output_len", "vocab_size")},
+    "params-first": _mutate_params_entry(0),
+    "params-last": _mutate_params_entry(-1),
+    "vocab-file": _mutate_vocab_file,
+    "vocab-lines": _mutate_vocab_lines,
+    "params-length": _mutate_params_length,
+}
+
+
+class TestCheckpointMutations:
+    """Seeded mutations of every file of a checkpoint directory, read by
+    ``generate`` and by ``finetune --init``: each command exits 0 or 1, an
+    exit 1 prints an ``error:`` line, and a checkpoint that
+    ``read_checkpoint`` rejects fails both commands."""
+
+    DRAWS = 8
+
+    @pytest.fixture(scope="class")
+    def d8_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("d8")
+        (root / "one.jsonl").write_text(json.dumps(ONE_PAIR) + "\n")
+        (root / "small.json").write_text(json.dumps(D8_CONFIG))
+        assert main(["pretrain", "--config", str(root / "small.json"),
+                     "--corpus", str(root / "one.jsonl"), "--out", str(root / "pre")]) == 0
+        return root
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_mutated_checkpoint_exits_0_or_1(self, d8_dir, tmp_path, capsys, mutation):
+        root = d8_dir
+        for draw in range(self.DRAWS):
+            rng = random.Random(f"{mutation}-{draw}")
+            ckpt = tmp_path / f"ckpt-{draw}"
+            shutil.copytree(root / "pre" / "checkpoints" / "epoch-1", ckpt)
+            MUTATIONS[mutation](ckpt, rng)
+            try:
+                training.read_checkpoint(ckpt)
+                rejected = False
+            except (CheckpointError, ValueError):  # Vocabulary raises ValueError
+                rejected = True
+            codes = []
+            for argv in (["generate", "--ckpt", str(ckpt), "--input", str(root / "one.jsonl"),
+                          "--out", str(tmp_path / f"hyp-{draw}.txt")],
+                         ["finetune", "--config", str(root / "small.json"),
+                          "--corpus", str(root / "one.jsonl"), "--init", str(ckpt),
+                          "--out", str(tmp_path / f"ft-{draw}")]):
+                capsys.readouterr()
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 1), (draw, argv[0], code, err)
+                if code == 1:
+                    assert any(line.startswith("error: ") for line in err.splitlines()), (
+                        draw, argv[0], err)
+                codes.append(code)
+            if rejected:
+                assert codes == [1, 1], (draw, codes)
 
 
 class TestGenerateBeamSettings:

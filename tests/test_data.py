@@ -213,9 +213,15 @@ class TestLoadCorpus:
             ("mentions", {"1": [True]}),
             ("triples", [[True, "r", 2]]),
             ("triples", 5),
+            # range and emptiness are checked by KnowledgeGraph and GraphTextPair
+            ("triples", [[1, "r", 0]]),
+            ("text", " "),
+            ("mentions", {"3": [1]}),
+            ("mentions", {"1": [0]}),
         ],
         ids=["mentions-array", "mention-positions-scalar", "mention-position-bool",
-             "triple-bool-index", "triples-scalar"],
+             "triple-bool-index", "triples-scalar", "triple-index-zero", "text-blank",
+             "mention-key-missing-entity", "mention-position-zero"],
     )
     def test_malformed_field_is_a_parse_error(self, tmp_path, field, value):
         rec = {"entities": ["a", "b"], "triples": [[1, "r", 2]], "text": "a r b"}

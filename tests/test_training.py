@@ -9,6 +9,7 @@ import pytest
 from graph2text import training
 from graph2text.autograd import ParamStore, add, backward, scale
 from graph2text.errors import CheckpointError, NumericError, UsageError
+from graph2text.model import ModelSettings, build_model
 from graph2text.objectives import combined_pretrain_loss, loss_finetune
 from graph2text.synth import build_toy_model, overfit_corpus
 from graph2text.training import (
@@ -21,9 +22,11 @@ from graph2text.training import (
     load_checkpoint,
     lr_at,
     model_config_dict,
+    read_checkpoint,
     save_checkpoint,
     train,
 )
+from graph2text.vocab import Vocabulary
 
 
 class TestTrainConfig:
@@ -359,7 +362,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("load", [load_checkpoint,
                                       lambda path: init_model_from_checkpoint(
-                                          build_toy_model(corpus=overfit_corpus(3))[0], path)],
+                                          build_toy_model(corpus=overfit_corpus(3))[0],
+                                          read_checkpoint(path))],
                              ids=["load_checkpoint", "init_model_from_checkpoint"])
     def test_partial_trailing_value_rejected(self, tmp_path, load):
         # np.fromfile drops the 3 stray bytes; the size check must not
@@ -396,9 +400,13 @@ class TestCheckpoint:
         (lambda m: m["params"][0].update(name=["tok_emb"]),
          r"parameter name \['tok_emb'\] is not a string"),
         (lambda m: m["params"].append(dict(m["params"][0])), "appears twice in the manifest"),
+        # 3 * 6148914691236517206 = 2**64 + 2, which np.prod wraps to 2 values
+        (lambda m: m["params"][0].update(shape=[3, 6148914691236517206]),
+         "parameter file is truncated"),
     ], ids=["model-lacks-key", "entry-lacks-name", "entry-lacks-shape", "params-not-list",
             "model-not-object", "shape-not-list", "d-model-not-int", "max-input-len-float",
-            "num-heads-zero", "vocab-file-not-string", "name-not-string", "name-twice"])
+            "num-heads-zero", "vocab-file-not-string", "name-not-string", "name-twice",
+            "shape-size-past-int64"])
     def test_malformed_manifest_rejected(self, tmp_path, edit, message):
         model, _ = self._trained_model()
         path = save_checkpoint(model, tmp_path / "ckpt")
@@ -407,6 +415,56 @@ class TestCheckpoint:
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("vocab_file", [
+        lambda path: str(path / "vocab.txt"),
+        lambda path: f"../{path.name}/vocab.txt",
+        lambda path: "..",
+    ], ids=["absolute", "separator", "parent"])
+    def test_vocab_file_must_be_a_bare_name(self, tmp_path, vocab_file):
+        # each of these names the checkpoint's own vocabulary, or a directory
+        model, _ = self._trained_model()
+        path = save_checkpoint(model, tmp_path / "ckpt")
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["vocab_file"] = vocab_file(path)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="is not a file in the checkpoint directory"):
+            read_checkpoint(path)
+
+    def test_read_checkpoint_returns_settings_vocab_and_arrays(self, tmp_path):
+        model, _ = self._trained_model()
+        ckpt = read_checkpoint(save_checkpoint(model, tmp_path / "ckpt"))
+        assert ckpt.settings == ModelSettings.of(model)
+        assert ckpt.vocab.id_to_token == model.vocab.id_to_token
+        assert list(ckpt.arrays) == model.store.names()
+        for name, t in model.store.items():
+            assert ckpt.arrays[name].tobytes() == t.data.tobytes()
+
+    def test_init_rejects_another_vocabulary(self, tmp_path):
+        # same size, two tokens swapped: the rows would land on the wrong tokens
+        corpus = overfit_corpus(3)
+        model, _ = build_toy_model(corpus=corpus)
+        ckpt = read_checkpoint(save_checkpoint(model, tmp_path / "ckpt"))
+        tokens = list(model.vocab.id_to_token)
+        tokens[-1], tokens[-2] = tokens[-2], tokens[-1]
+        swapped = build_model(Vocabulary(tokens), model.encoder_config, model.decoder_config)
+        before = swapped.store["tok_emb"].data.copy()
+        with pytest.raises(CheckpointError, match="vocabulary differs from the checkpoint's"):
+            init_model_from_checkpoint(swapped, ckpt)
+        assert swapped.store["tok_emb"].data.tobytes() == before.tobytes()
+
+    def test_init_leaves_the_read_arrays_unchanged(self, tmp_path):
+        # a model trains its parameters in place; a second model from the
+        # same read checkpoint must start from the saved values
+        corpus = overfit_corpus(3)
+        model, _ = build_toy_model(corpus=corpus)
+        ckpt = read_checkpoint(save_checkpoint(model, tmp_path / "ckpt"))
+        saved = ckpt.arrays["tok_emb"].copy()
+        first, second = (build_toy_model(corpus=corpus)[0] for _ in range(2))
+        init_model_from_checkpoint(first, ckpt)
+        first.store["tok_emb"].data += 1.0
+        init_model_from_checkpoint(second, ckpt)
+        assert second.store["tok_emb"].data.tobytes() == saved.tobytes()
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
@@ -422,7 +480,7 @@ class TestCheckpoint:
         path = save_checkpoint(seq_model, tmp_path / "seq_ckpt")
 
         joint_model, _ = build_toy_model(corpus=corpus, variant="joint")
-        init_model_from_checkpoint(joint_model, path)
+        init_model_from_checkpoint(joint_model, read_checkpoint(path))
         for layer in range(2):
             for name in ("wqs", "wks", "wvs", "wkr", "wvr"):
                 assert np.array_equal(
@@ -441,4 +499,4 @@ class TestCheckpoint:
         path = save_checkpoint(model, tmp_path / "ckpt")
         bigger, _ = build_toy_model(corpus=corpus, d_model=32, d_ff=16)
         with pytest.raises(CheckpointError):
-            init_model_from_checkpoint(bigger, path)
+            init_model_from_checkpoint(bigger, read_checkpoint(path))
