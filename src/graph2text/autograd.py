@@ -291,60 +291,43 @@ def ffn_op(x, gain, bias, w1, b1, w2, b2) -> Tensor:
 def relation_biased_attention_op(
     h, ent_rows, rel_rows, pools, wqs, wks, wvs, wkr, wvr, num_heads: int
 ) -> Tensor:
-    """The aggregation sublayer ``h + S @ attention(z, q)``, fused into one node.
+    """The aggregation sublayer ``h + S @ attention(z, r)``, fused into one node.
 
-    ``pools`` holds constant arrays (P, grid rows, S): the (|V|+|E|, len)
-    unit mean-pooling matrix, each relation's row in the row-major (i, j)
-    grid, and the (len, |V|) scatter of entities onto their tokens. Entity
-    vectors are z = P[:|V|] @ ``ent_rows``; the (|V|*|V|, d) relation grid q
-    is zero but at the grid rows, which hold P[|V|:] @ ``rel_rows``. Per
-    head: logit(i, j) = dot(z_i Wqs, z_j Wks + q_ij Wkr)/sqrt(d_k),
-    output(i) = sum_j softmax_j(logits)(i, j) * (z_j Wvs + q_ij Wvr). Head
-    outputs are concatenated; there is no extra output projection.
+    ``pools`` holds constants (P, (rows, cols), S): the (|V|+|E|, len) unit
+    mean-pooling matrix, each relation's 0-based head and tail entity, and
+    the (len, |V|) scatter of entities onto their tokens. With z = P[:|V|] @
+    ``ent_rows`` and r = P[|V|:] @ ``rel_rows``, per head: logit(i, j) =
+    (q_i·k_j + [(i, j) in E] q_i·rk_ij)/sqrt(d_k) and output(i) = sum_j p_ij
+    (v_j + [(i, j) in E] rv_ij) for p = softmax_j(logit), q, k, v = z Wqs,
+    z Wks, z Wvs and rk, rv = r Wkr, r Wvr. Head outputs are concatenated.
     """
     operands = tuple(map(as_tensor, (h, ent_rows, rel_rows, wqs, wks, wvs, wkr, wvr)))
     h, ent_rows, rel_rows, wqs, wks, wvs, wkr, wvr = operands
-    pool, grid_rows, scatter = pools
+    pool, (rows, cols), scatter = pools
     nv, d_model = scatter.shape[1], h.data.shape[1]
-    if pool.shape[0] != nv + len(grid_rows) or scatter.shape[0] != h.data.shape[0]:
+    if pool.shape[0] != nv + len(rows) or scatter.shape[0] != h.data.shape[0]:
         raise ShapeError(f"pooling {pool.shape} and scatter {scatter.shape} disagree")
     if d_model % num_heads != 0:
         raise ShapeError(f"d_model {d_model} not divisible by {num_heads} heads")
     scaling = 1.0 / math.sqrt(d_model // num_heads)
-    p_ent, p_rel = pool[:nv], pool[nv:]
-    z = p_ent @ ent_rows.data
-    q_grid = np.zeros((nv * nv, d_model))
-    q_grid[grid_rows] = p_rel @ rel_rows.data
-    # entity i is a batch of one query, (|V|, heads, 1, d_k), over its own row
-    # of keys and values, (|V|, heads, |V|, d_k): the entity keys and values,
-    # broadcast over i, plus the relation offsets of row i of the grid
-    q = _split_heads((z @ wqs.data)[:, None], num_heads)
-    keys, vals = (
-        _split_heads(z @ w_ent.data, num_heads)
-        + _split_heads((q_grid @ w_rel.data).reshape(nv, nv, d_model), num_heads)
-        for w_ent, w_rel in ((wks, wkr), (wvs, wvr))
-    )
-    probs, context = _softmax_attention(q, keys, vals, scaling)
+    z, r = pool[:nv] @ ent_rows.data, pool[nv:] @ rel_rows.data
+    q, k, v = (_split_heads(z @ w.data, num_heads) for w in (wqs, wks, wvs))
+    rk, rv = (_split_heads(r @ w.data, num_heads) for w in (wkr, wvr))
+    edges = (rows, cols, (q[:, rows] * rk).sum(axis=-1), rv)
+    probs, context = _softmax_attention(q, k, v, scaling, edges=edges)
 
     def backward_fn(g):
-        g_q, g_keys, g_vals = _softmax_attention_backward(
-            _split_heads((scatter.T @ g)[:, None], num_heads), q, keys, vals, probs, scaling
+        g_q, g_k, g_v, g_bias, g_rv = _softmax_attention_backward(
+            _split_heads(scatter.T @ g, num_heads), q, k, v, probs, scaling, edges
         )
-        g_zq = _merge_heads(g_q).reshape(nv, d_model)
-        g_zk, g_zv = _merge_heads(g_keys.sum(axis=0)), _merge_heads(g_vals.sum(axis=0))
-        g_qk, g_qv = (_merge_heads(m).reshape(nv * nv, d_model) for m in (g_keys, g_vals))
-        return (
-            g,
-            p_ent.T @ (g_zq @ wqs.data.T + g_zk @ wks.data.T + g_zv @ wvs.data.T),
-            p_rel.T @ (g_qk @ wkr.data.T + g_qv @ wvr.data.T)[grid_rows],
-            z.T @ g_zq,
-            z.T @ g_zk,
-            z.T @ g_zv,
-            q_grid.T @ g_qk,
-            q_grid.T @ g_qv,
-        )
+        g_bias = g_bias[..., None]
+        np.add.at(g_q, (slice(None), rows), g_bias * rk)
+        g_zq, g_zk, g_zv, g_rk, g_rv = map(_merge_heads, (g_q, g_k, g_v, g_bias * q[:, rows], g_rv))
+        g_z = g_zq @ wqs.data.T + g_zk @ wks.data.T + g_zv @ wvs.data.T
+        return (g, pool[:nv].T @ g_z, pool[nv:].T @ (g_rk @ wkr.data.T + g_rv @ wvr.data.T),
+                z.T @ g_zq, z.T @ g_zk, z.T @ g_zv, r.T @ g_rk, r.T @ g_rv)
 
-    out = h.data + scatter @ _merge_heads(context).reshape(nv, d_model)
+    out = h.data + scatter @ _merge_heads(context)
     return _make(out, operands, backward_fn)
 
 
@@ -361,32 +344,47 @@ def _merge_heads(m: np.ndarray) -> np.ndarray:
     return m.swapaxes(-2, -3).reshape(*lead, length, num_heads * d_k)
 
 
-def _softmax_attention(q, k, v, scaling: float, blocked=None):
+def _softmax_attention(q, k, v, scaling: float, blocked=None, edges=None):
     """Scaled dot-product attention over split heads; ``q``, ``k`` and ``v``
     broadcast as (..., heads, len, d_k) and blocked positions get exactly
-    zero weight. Returns (probs, probs @ v); the (..., heads, len_q, len_k)
-    temporaries are written into one array."""
+    zero weight. ``edges`` (rows, cols, bias, values) adds ``bias[..., e]``
+    to the score of distinct pair (rows[e], cols[e]) before scaling and
+    ``values[..., e, :]`` to its value. Returns (probs, context), whose
+    (..., heads, len_q, len_k) temporaries are written into one array."""
     probs = q @ k.swapaxes(-1, -2)
+    if edges is not None:
+        rows, cols, bias, values = edges
+        probs[..., rows, cols] += bias
     probs *= scaling
     if blocked is not None:
         np.copyto(probs, -np.inf, where=blocked)
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    return probs, probs @ v
+    context = probs @ v
+    if edges is not None:
+        # np.add.at, not +=: one query may head several edges
+        np.add.at(context, (..., rows, slice(None)), probs[..., rows, cols, None] * values)
+    return probs, context
 
 
-def _softmax_attention_backward(g_context, q, k, v, probs, scaling: float):
-    """Gradients (q, k, v) of ``_softmax_attention``'s ``probs @ v`` whose
-    gradient is ``g_context``, each of the broadcast shape: a caller that
-    broadcast an operand sums its gradient over those axes. Blocked
+def _softmax_attention_backward(g_context, q, k, v, probs, scaling: float, edges=None):
+    """Gradients (q, k, v), and with ``edges`` (bias, values), of
+    ``_softmax_attention``'s context whose gradient is ``g_context``. Blocked
     positions have zero ``probs`` and so pass no gradient. The score
     gradient is formed in place in the array of the probability gradient."""
     g_scores = g_context @ v.swapaxes(-1, -2)
+    if edges is not None:
+        rows, cols, _, values = edges
+        g_edge_context = g_context[..., rows, :]
+        g_scores[..., rows, cols] += (g_edge_context * values).sum(axis=-1)
     g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)
     g_scores *= probs
     g_scores *= scaling
-    return g_scores @ k, g_scores.swapaxes(-1, -2) @ q, probs.swapaxes(-1, -2) @ g_context
+    grads = (g_scores @ k, g_scores.swapaxes(-1, -2) @ q, probs.swapaxes(-1, -2) @ g_context)
+    if edges is None:
+        return grads
+    return (*grads, g_scores[..., rows, cols], probs[..., rows, cols, None] * g_edge_context)
 
 
 def _attention_forward(x, gain, bias, wq, wk, wv, wo, num_heads, kv=None, cache=None, blocked=None):

@@ -154,11 +154,10 @@ def init_encoder_params(store: ParamStore, cfg: EncoderConfig, vocab_size: int, 
         store.add("struct.rel_emb", rng.normal(0.0, 0.02, size=(vocab_size, cfg.d_model)))
 
 
-def pooling_matrices(inp: EncoderInput) -> tuple[np.ndarray, np.ndarray]:
+def pooling_matrices(inp: EncoderInput) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The constant (|V|+|E|, len) mean-pooling matrix of the units, one row
     per unit in ``unit_sequence`` order (entities 1..|V|, then relations in
-    ascending (i, j)), and each relation's row (i-1)*|V| + (j-1) of the
-    row-major (|V|*|V|) relation grid.
+    ascending (i, j)), and their edges (i - 1, j - 1) as (rows, cols) index arrays.
 
     A unit's row carries weight 1/|positions| at each of its positions, so a
     matmul against the hidden states performs the mean pooling (a
@@ -176,7 +175,7 @@ def pooling_matrices(inp: EncoderInput) -> tuple[np.ndarray, np.ndarray]:
         weight = 1.0 / len(positions)
         for p in positions:
             pool[row, p - 1] = weight
-    return pool, np.array([(i - 1) * nv + (j - 1) for i, j in relations], dtype=np.int64)
+    return pool, tuple(np.array(relations, dtype=np.int64).reshape(-1, 2).T - 1)
 
 
 def scatter_matrix(inp: EncoderInput) -> np.ndarray:

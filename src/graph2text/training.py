@@ -324,9 +324,13 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(
             f"vocab_file {manifest['vocab_file']!r} is not a file in the checkpoint directory"
         )
-    vocab, size = Vocabulary.load(vocab_path), model_section.get("vocab_size")
-    if size != len(vocab):
-        raise CheckpointError(f"vocabulary size {len(vocab)} disagrees with manifest {size}")
+    try:  # a UnicodeDecodeError is a ValueError too
+        vocab = Vocabulary.load(vocab_path)
+    except ValueError as exc:
+        raise CheckpointError(f"vocabulary {vocab_path}: {exc}") from exc
+    size = model_section.get("vocab_size")
+    if type(size) is not int or size != len(vocab):
+        raise CheckpointError(f"vocabulary size {len(vocab)} disagrees with manifest {size!r}")
     return Checkpoint(settings, vocab, _read_params(path, manifest))
 
 

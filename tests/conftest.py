@@ -47,10 +47,12 @@ def rows_at(rows: dict[int, Tensor], count: int) -> Tensor:
 
 
 def identity_pools(nv: int) -> tuple:
-    """Pools of ``relation_biased_attention_op`` with P = I over the rows
-    (z; q_grid) and S = I: with h = 0 the op returns exactly
-    attention(z, q_grid)."""
-    return np.eye(nv + nv * nv), np.arange(nv * nv), np.eye(nv)
+    """Pools of ``relation_biased_attention_op`` in which every (i, j) is an
+    edge, in row-major order, with P = I over the rows (z; the |V|*|V|
+    relation rows) and S = I: with h = 0 the op returns exactly the
+    attention of z over the row-major relation grid q_grid."""
+    rows, cols = np.divmod(np.arange(nv * nv), nv)
+    return np.eye(nv + nv * nv), (rows, cols), np.eye(nv)
 
 
 def store_gradients(store, build_loss) -> dict[str, np.ndarray]:

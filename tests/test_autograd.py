@@ -167,50 +167,80 @@ class TestSharedAttentionCore:
         assert calls == ["_softmax_attention", "_softmax_attention_backward"]
 
 
-def _out_of_place_attention(q, k, v, scaling, blocked=None):
-    """Reference attention core: every step allocates its own array."""
-    scores = (q @ k.swapaxes(-1, -2)) * scaling
+def _out_of_place_attention(q, k, v, scaling, blocked=None, dense_edges=None):
+    """Reference attention core: every step allocates its own array. The
+    optional ``dense_edges`` (bias, values) hold each edge's score bias at
+    (query, key) of a (..., len_q, len_k) array and its values at (query,
+    key) of a (..., len_q, len_k, d_k) array, zero off the edges."""
+    scores = q @ k.swapaxes(-1, -2)
+    if dense_edges is not None:
+        scores = scores + dense_edges[0]
+    scores = scores * scaling
     if blocked is not None:
         scores = np.where(blocked, -np.inf, scores)
     scores = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(scores)
     probs = exp / exp.sum(axis=-1, keepdims=True)
-    return probs, probs @ v
+    context = probs @ v
+    if dense_edges is not None:
+        for key in range(k.shape[-2]):  # ascending keys: the order of the edges
+            context = context + probs[..., key, None] * dense_edges[1][..., key, :]
+    return probs, context
 
 
-def _out_of_place_attention_backward(g_context, q, k, v, probs, scaling):
+def _out_of_place_attention_backward(g_context, q, k, v, probs, scaling, dense_edges=None):
     g_probs = g_context @ v.swapaxes(-1, -2)
+    if dense_edges is not None:
+        g_probs = g_probs + (g_context[..., :, None, :] * dense_edges[1]).sum(axis=-1)
     g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * scaling
-    return g_scores @ k, g_scores.swapaxes(-1, -2) @ q, probs.swapaxes(-1, -2) @ g_context
+    grads = (g_scores @ k, g_scores.swapaxes(-1, -2) @ q, probs.swapaxes(-1, -2) @ g_context)
+    if dense_edges is None:
+        return grads
+    return (*grads, g_scores, probs[..., None] * g_context[..., :, None, :])
 
 
 class TestInPlaceAttentionCore:
     """The attention core writes its (..., heads, len_q, len_k) temporaries
-    into one array and matches the out-of-place formulas bit for bit."""
+    into one array and matches the out-of-place formulas bit for bit, with
+    and without edge terms."""
 
-    @pytest.mark.parametrize("shapes", [
-        ((2, 5, 3), (2, 6, 3)),          # heads, queries over one memory
-        ((4, 2, 1, 3), (4, 2, 4, 3)),    # per-entity queries over own keys
-    ], ids=["heads", "entity-batched"])
+    # (rows, cols) sorted by row, then column: a self-loop, a query heading
+    # three edges, and queries that head none
+    EDGES = (np.array([0, 1, 1, 1, 3]), np.array([0, 0, 2, 4, 3]))
+
+    @pytest.mark.parametrize("case", ["heads", "edges"])
     @pytest.mark.parametrize("masked", [False, True])
-    def test_bitwise_equal_to_out_of_place(self, shapes, masked):
+    def test_bitwise_equal_to_out_of_place(self, case, masked):
         rng = np.random.default_rng(31)
-        (q_shape, kv_shape), scaling = shapes, 1.0 / math.sqrt(3)
+        scaling = 1.0 / math.sqrt(3)
+        # heads: queries over a longer memory; edges: self-attention with edge terms
+        q_shape, kv_shape = ((2, 5, 3), (2, 6, 3)) if case == "heads" else ((2, 5, 3), (2, 5, 3))
         q, k, v = rng.normal(size=q_shape), rng.normal(size=kv_shape), rng.normal(size=kv_shape)
+        edges = dense = None
+        if case == "edges":
+            rows, cols = self.EDGES
+            bias, values = rng.normal(size=(2, len(rows))), rng.normal(size=(2, len(rows), 3))
+            edges = (rows, cols, bias, values)
+            dense = (np.zeros((2, 5, 5)), np.zeros((2, 5, 5, 3)))
+            dense[0][:, rows, cols], dense[1][:, rows, cols] = bias, values
         blocked = None
         if masked:
             blocked = rng.random(q_shape[-2:-1] + kv_shape[-2:-1]) < 0.4
             blocked[:, 0] = False  # every query keeps one key
         originals = [a.copy() for a in (q, k, v)]
-        probs, context = ag._softmax_attention(q, k, v, scaling, blocked)
-        ref_probs, ref_context = _out_of_place_attention(q, k, v, scaling, blocked)
+        probs, context = ag._softmax_attention(q, k, v, scaling, blocked, edges)
+        ref_probs, ref_context = _out_of_place_attention(q, k, v, scaling, blocked, dense)
         assert probs.tobytes() == ref_probs.tobytes()
         assert context.tobytes() == ref_context.tobytes()
         if masked:
             assert (probs[..., blocked] == 0.0).all()
         g_context = rng.normal(size=context.shape)
-        grads = ag._softmax_attention_backward(g_context, q, k, v, probs, scaling)
-        reference = _out_of_place_attention_backward(g_context, q, k, v, ref_probs, scaling)
+        grads = ag._softmax_attention_backward(g_context, q, k, v, probs, scaling, edges)
+        reference = _out_of_place_attention_backward(g_context, q, k, v, ref_probs, scaling, dense)
+        if edges is not None:
+            # the dense bias and values gradients, read at the edges
+            reference = (*reference[:3], *(m[:, rows, cols] for m in reference[3:]))
+        assert len(grads) == len(reference) == (3 if edges is None else 5)
         for got, want in zip(grads, reference):
             assert got.tobytes() == want.tobytes()
         for before, after in zip(originals, (q, k, v)):

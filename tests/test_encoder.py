@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graph2text import autograd as ag
 from graph2text import encoder
 from graph2text.autograd import (
     ParamStore,
@@ -46,13 +47,15 @@ def toy_input(model, pair, text_tokens=None) -> EncoderInput:
 
 
 def pooled(h: Tensor, inp: EncoderInput) -> tuple[Tensor, Tensor]:
-    """Entity vectors and relation grid as the aggregation sublayer pools
-    them: z = P[:|V|] @ h, and the grid zero but at the relations' rows."""
-    pool, grid_rows = pooling_matrices(inp)
+    """Entity and relation vectors as the aggregation sublayer pools them:
+    z = P[:|V|] @ h and r = P[|V|:] @ h, one row of r per edge, whose 0-based
+    (head, tail) index arrays follow the relations in ascending (i, j)."""
+    pool, (rows, cols) = pooling_matrices(inp)
     nv = inp.num_entities
-    q_grid = np.zeros((nv * nv, h.shape[1]))
-    q_grid[grid_rows] = pool[nv:] @ h.data
-    return matmul(Tensor(pool[:nv]), h), Tensor(q_grid)
+    relations = sorted(inp.relation_positions)
+    assert rows.tolist() == [i - 1 for i, _ in relations]
+    assert cols.tolist() == [j - 1 for _, j in relations]
+    return matmul(Tensor(pool[:nv]), h), matmul(Tensor(pool[nv:]), h)
 
 
 def attention_core(z, q_grid, *weights_and_heads) -> Tensor:
@@ -167,13 +170,16 @@ class TestPooling:
         assert np.array_equal(z.data[0], h.data[1])
 
     def test_absent_relation_is_zero_vector(self, model_and_input):
+        # an absent relation has no edge, so it adds nothing: the op's
+        # relation terms are those of the edges alone
         model, inp = model_and_input
         h = Tensor(np.random.default_rng(4).normal(size=(len(inp.ids), 16)))
-        _, q = pooled(h, inp)
-        nv = inp.num_entities
-        grid = q.data.reshape(nv, nv, 16)
-        assert np.array_equal(grid[0, 0], np.zeros(16))  # no (1,1) self-loop
-        assert not np.array_equal(grid[0, 1], np.zeros(16))  # (1,2) exists
+        _, r = pooled(h, inp)
+        _, edges = pooling_matrices(inp)
+        pairs = list(zip(*(e.tolist() for e in edges)))
+        assert pairs == [(0, 1), (1, 2)]  # no (1,1) self-loop
+        assert r.shape == (2, 16)
+        assert not np.array_equal(r.data[0], np.zeros(16))  # (1,2) exists
 
     def test_union_pooling_is_mean(self, model_and_input):
         model, inp = model_and_input
@@ -199,9 +205,8 @@ class TestPooling:
         for pair in [two_triple_pair, three_position_pair()] + overfit_corpus(20):
             lin = linearize(pair.graph)
             inp = model.encoder_input(lin, pair.text)
-            pool, grid_rows = pooling_matrices(inp)
+            pool, (rows, cols) = pooling_matrices(inp)
             units = unit_sequence(pair.graph)
-            nv = inp.num_entities
             assert pool.shape == (len(units), len(inp.ids))
             for row, (kind, key) in zip(pool, units):
                 positions = (lin.entity_positions[key] if kind == "entity"
@@ -210,7 +215,9 @@ class TestPooling:
                 expected[[p - 1 for p in positions]] = 1.0 / len(positions)
                 assert np.array_equal(row, expected)
             relations = [key for kind, key in units if kind == "relation"]
-            assert grid_rows.tolist() == [(i - 1) * nv + (j - 1) for i, j in relations]
+            assert rows.tolist() == [i - 1 for i, _ in relations]
+            assert cols.tolist() == [j - 1 for _, j in relations]
+            assert rows.dtype == cols.dtype == np.int64
 
 
 def layer_zero_agg(model) -> list:
@@ -289,6 +296,129 @@ class TestStructureAttention:
 
         report = grad_check(f, store, tol=1e-4)
         assert report.passed, report.format()
+
+
+def grid_relation_attention_op(h, ent_rows, rel_rows, pools, wqs, wks, wvs, wkr, wvr, num_heads):
+    """The aggregation sublayer in its earlier grid form, kept as the
+    reference of the edge form: a (|V|*|V|, d) relation grid ``q_grid``,
+    zero but at each edge's row-major row i*|V| + j, and entity i run as a
+    batch of one query over its own row of keys and values, (|V|, heads,
+    |V|, d_k): the entity keys and values broadcast over i, plus row i of
+    the grid's offsets. The softmax attention and its backward are written
+    out here, apart from the shared core."""
+    operands = tuple(map(ag.as_tensor, (h, ent_rows, rel_rows, wqs, wks, wvs, wkr, wvr)))
+    h, ent_rows, rel_rows, wqs, wks, wvs, wkr, wvr = operands
+    pool, (rows, cols), scatter = pools
+    nv, d_model = scatter.shape[1], h.data.shape[1]
+    scaling = 1.0 / np.sqrt(d_model // num_heads)
+    p_ent, p_rel, grid_rows = pool[:nv], pool[nv:], rows * nv + cols
+    z = p_ent @ ent_rows.data
+    q_grid = np.zeros((nv * nv, d_model))
+    q_grid[grid_rows] = p_rel @ rel_rows.data
+    q = ag._split_heads((z @ wqs.data)[:, None], num_heads)
+    keys, vals = (
+        ag._split_heads(z @ w_ent.data, num_heads)
+        + ag._split_heads((q_grid @ w_rel.data).reshape(nv, nv, d_model), num_heads)
+        for w_ent, w_rel in ((wks, wkr), (wvs, wvr))
+    )
+    scores = (q @ keys.swapaxes(-1, -2)) * scaling
+    exp = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = exp / exp.sum(axis=-1, keepdims=True)
+
+    def backward_fn(g):
+        g_context = ag._split_heads((scatter.T @ g)[:, None], num_heads)
+        g_probs = g_context @ vals.swapaxes(-1, -2)
+        g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * scaling
+        g_keys, g_vals = g_scores.swapaxes(-1, -2) @ q, probs.swapaxes(-1, -2) @ g_context
+        g_zq = ag._merge_heads(g_scores @ keys).reshape(nv, d_model)
+        g_zk, g_zv = ag._merge_heads(g_keys.sum(axis=0)), ag._merge_heads(g_vals.sum(axis=0))
+        g_qk, g_qv = (ag._merge_heads(m).reshape(nv * nv, d_model) for m in (g_keys, g_vals))
+        return (
+            g,
+            p_ent.T @ (g_zq @ wqs.data.T + g_zk @ wks.data.T + g_zv @ wvs.data.T),
+            p_rel.T @ (g_qk @ wkr.data.T + g_qv @ wvr.data.T)[grid_rows],
+            z.T @ g_zq, z.T @ g_zk, z.T @ g_zv, q_grid.T @ g_qk, q_grid.T @ g_qv,
+        )
+
+    out = h.data + scatter @ ag._merge_heads(probs @ vals).reshape(nv, d_model)
+    return ag._make(out, operands, backward_fn)
+
+
+def random_graph_pair(rng, num_entities: int) -> tuple:
+    """A random graph over ``num_entities`` entities with self-loops and
+    repeated heads: each entity heads 0-3 edges to random tails, and an
+    entity left out of every triple gets a self-loop."""
+    relations = {}
+    for head in range(1, num_entities + 1):
+        for tail in rng.choice(num_entities, size=rng.integers(0, 4), replace=False):
+            relations[(head, int(tail) + 1)] = f"rel{len(relations) % 3}"
+    linked = {i for edge in relations for i in edge}
+    relations.update({(i, i): "self" for i in range(1, num_entities + 1) if i not in linked})
+    return [f"ent{i}" for i in range(num_entities)], relations
+
+
+EDGE_FORM_GRAPHS = {
+    # entity 1 heads three edges, two of them from a self-loop's entity;
+    # entities 3 and 4 head no edge
+    "three-out-edges": (("ada", "bo", "cy", "dee"),
+                        {(1, 1): "is", (1, 2): "likes", (1, 3): "sees", (1, 4): "knows",
+                         (2, 3): "helps"}),
+    "self-loops": (("ada", "bo", "cy"), {(1, 1): "is", (2, 2): "likes", (3, 3): "knows",
+                                         (3, 1): "sees"}),
+    "one-entity": (("ada",), {(1, 1): "likes"}),
+    # distinct labels: with one label, the rel variant's relation rows would
+    # be equal, every score of a row would gain the same bias, and the Wkr
+    # gradient would be zero up to rounding
+    "complete": (("ada", "bo", "cy"),
+                 {(i, j): f"rel{i}{j}" for i in range(1, 4) for j in range(1, 4)}),
+}
+
+
+class TestEdgeFormMatchesGrid:
+    """The edge-form op against the grid form it replaced, on graphs with
+    self-loops, a head entity of three edges, entities that head none, one
+    entity and a complete graph: the output and the gradients of all eight
+    operands agree within the 1e-12 gate."""
+
+    @pytest.mark.parametrize("graph", [*EDGE_FORM_GRAPHS, "random-0", "random-1", "random-2"])
+    @pytest.mark.parametrize("variant", ["joint", "rel"])
+    def test_output_and_gradients(self, graph, variant):
+        rng = np.random.default_rng(sorted(EDGE_FORM_GRAPHS).index(graph)
+                                    if graph in EDGE_FORM_GRAPHS else 10 + int(graph[-1]))
+        if graph in EDGE_FORM_GRAPHS:
+            entities, relations = EDGE_FORM_GRAPHS[graph]
+        else:
+            entities, relations = random_graph_pair(rng, 7)
+        pair = make_pair(entities, relations, " ".join(entities))
+        model, _ = build_toy_model(corpus=[pair], variant=variant, max_input_len=200)
+        inp = toy_input(model, pair, pair.text)
+        pools = encode_pools(inp)
+        store = ParamStore()
+        store.add("h", rng.normal(size=(len(inp.ids), 16)))
+        if variant == "rel":
+            # the rel variant pools rows of its two learned tables
+            ids = np.asarray(inp.ids)
+            store.add("ent_rows", rng.normal(size=model.store["struct.ent_emb"].shape)[ids])
+            store.add("rel_rows", rng.normal(size=model.store["struct.rel_emb"].shape)[ids])
+        for name in AGG_WEIGHT_NAMES:
+            store.add(name, rng.normal(size=(16, 16)) * 0.3)
+        readout = rng.normal(size=(len(inp.ids), 16))
+        outputs = []
+
+        def loss(op):
+            def build():
+                rows = ("h", "h") if variant == "joint" else ("ent_rows", "rel_rows")
+                outputs.append(op(store["h"], *(store[n] for n in rows), pools,
+                                  *(store[n] for n in AGG_WEIGHT_NAMES), 2))
+                return weighted_sum(outputs[-1], readout)
+            return build
+
+        grads = store_gradients(store, loss(relation_biased_attention_op))
+        reference = store_gradients(store, loss(grid_relation_attention_op))
+        assert len(store) == (6 if variant == "joint" else 8)
+        out, ref = (o.data for o in outputs)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert_gradient_gate(grads, reference)
 
 
 class TestResidualFuse:

@@ -403,10 +403,13 @@ class TestCheckpoint:
         # 3 * 6148914691236517206 = 2**64 + 2, which np.prod wraps to 2 values
         (lambda m: m["params"][0].update(shape=[3, 6148914691236517206]),
          "parameter file is truncated"),
+        # equal to the vocabulary's size, but not an int
+        (lambda m: m["model"].update(vocab_size=float(m["model"]["vocab_size"])),
+         r"vocabulary size (\d+) disagrees with manifest \1\.0"),
     ], ids=["model-lacks-key", "entry-lacks-name", "entry-lacks-shape", "params-not-list",
             "model-not-object", "shape-not-list", "d-model-not-int", "max-input-len-float",
             "num-heads-zero", "vocab-file-not-string", "name-not-string", "name-twice",
-            "shape-size-past-int64"])
+            "shape-size-past-int64", "vocab-size-float"])
     def test_malformed_manifest_rejected(self, tmp_path, edit, message):
         model, _ = self._trained_model()
         path = save_checkpoint(model, tmp_path / "ckpt")
@@ -429,6 +432,22 @@ class TestCheckpoint:
         manifest["vocab_file"] = vocab_file(path)
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match="is not a file in the checkpoint directory"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text + text.splitlines()[-1] + "\n",  # the last token again
+        lambda text: text.encode("utf-8") + b"\xff\xfe\n",  # not UTF-8
+    ], ids=["duplicate-token", "not-utf-8"])
+    def test_rejected_vocabulary_is_checkpoint_error(self, tmp_path, corrupt):
+        model, _ = self._trained_model()
+        path = save_checkpoint(model, tmp_path / "ckpt")
+        vocab_path = path / "vocab.txt"
+        content = corrupt(vocab_path.read_text(encoding="utf-8"))
+        if isinstance(content, bytes):
+            vocab_path.write_bytes(content)
+        else:
+            vocab_path.write_text(content, encoding="utf-8")
+        with pytest.raises(CheckpointError, match=r"vocabulary .*vocab\.txt: "):
             read_checkpoint(path)
 
     def test_read_checkpoint_returns_settings_vocab_and_arrays(self, tmp_path):

@@ -1,0 +1,179 @@
+#!/usr/bin/env python3
+"""Check that a change keeps the losses, gradients and decoded ids of the
+code it replaces, at as-initialized weights.
+
+    PYTHONPATH=src python tools/equivalence.py --save ref.npz      # before
+    PYTHONPATH=src python tools/equivalence.py --against ref.npz   # after
+
+Run ``--save`` on one checkout and ``--against`` on another; each imports
+``graph2text`` from ``PYTHONPATH``. Inputs are the 10-pair toy corpus under
+the ``seq``, ``joint`` and ``rel`` variants (d_model 16), and the first 8
+pairs of the two training bench corpora at seed 3 under ``joint`` with the
+bench's d_model-64 model. For each pair the script records the pretrain
+bundle (total and its three components) under ``random.Random(k)`` and the
+finetune loss, each with every parameter gradient; for the first 4 pairs of
+each input set it also records the beam-5 ids.
+
+``--against`` prints, per input set and overall, how many arrays are bit
+identical, the worst loss difference relative to the loss, the worst
+per-parameter max|grad difference| / max|reference grad|, and how many id
+sequences differ. The gate: losses within 1e-12 relative, gradients within
+1e-12 of the reference's largest, equal ids and the same set of records.
+The exit status is 0 when the gate holds and 1 when it fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+# Pinned before numpy loads: a multi-threaded BLAS may sum in another order
+# on each run, and the records must repeat bit for bit.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from graph2text import autograd, data, objectives, synth  # noqa: E402
+from graph2text.decoder import BeamConfig, DecoderConfig  # noqa: E402
+from graph2text.encoder import EncoderConfig  # noqa: E402
+from graph2text.model import build_model  # noqa: E402
+from graph2text.vocab import build_vocab  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import corpus  # noqa: E402  (bench/corpus.py, read only)
+
+GATE = 1e-12
+TOY_PAIRS = 10
+BENCH_SEED = 3
+BENCH_PAIRS = 8
+BEAM_PAIRS = 4
+BEAM = dict(beam_size=5, length_penalty=1.0)
+# the training workloads of bench/run.py, with its model and transport settings
+BENCH_SHAPES = {
+    "pretrain_webnlg": corpus.Shape(1, 64, (2, 8), (8, 30)),
+    "finetune_large_graph": corpus.Shape(1, 64, (16, 24), (40, 63)),
+}
+BENCH_ENCODER = EncoderConfig(num_layers=2, num_heads=4, d_model=64, d_ff=128,
+                              max_input_len=600, variant="joint")
+BENCH_DECODER = DecoderConfig(num_layers=2, num_heads=4, d_model=64, d_ff=128, max_output_len=64)
+OT_CONFIG = objectives.OTConfig(beta=1.0, inner_k=1, outer_n=10)
+
+
+def input_sets():
+    """Yield (name, model, pairs) for each input set."""
+    toy = synth.overfit_corpus(TOY_PAIRS)
+    for variant in ("seq", "joint", "rel"):
+        model, _ = synth.build_toy_model(corpus=toy, variant=variant, max_input_len=64)
+        yield f"toy-{variant}", model, toy
+    for name, shape in BENCH_SHAPES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{name}.jsonl"
+            corpus.write_jsonl(corpus.make_records(shape, BENCH_SEED), path)
+            pairs = data.load_corpus(path)
+        model = build_model(build_vocab(pairs), BENCH_ENCODER, BENCH_DECODER, seed=BENCH_SEED)
+        yield f"{name}-seed{BENCH_SEED}", model, pairs[:BENCH_PAIRS]
+
+
+def gradients(model, loss, prefix: str, records: dict) -> None:
+    """Backpropagate ``loss`` from zeroed gradients and record every
+    parameter's gradient under ``prefix``."""
+    model.store.zero_grads()
+    autograd.backward(loss)
+    for name, tensor in model.store.items():
+        records[f"{prefix}/grad/{name}"] = tensor.grad.copy()
+
+
+def record_all() -> dict[str, np.ndarray]:
+    records: dict[str, np.ndarray] = {}
+    for set_name, model, pairs in input_sets():
+        for k, pair in enumerate(pairs):
+            key = f"{set_name}/{k}"
+            bundle = objectives.combined_pretrain_loss(
+                model, pair, random.Random(k), ot_config=OT_CONFIG
+            )
+            for component, value in (*bundle.components().items(), ("total", bundle.total.item())):
+                records[f"{key}/pretrain/loss/{component}"] = np.asarray(value)
+            gradients(model, bundle.total, f"{key}/pretrain", records)
+            loss = objectives.loss_finetune(model, pair)
+            records[f"{key}/finetune/loss"] = loss.data.copy()
+            gradients(model, loss, f"{key}/finetune", records)
+            if k < BEAM_PAIRS:
+                beam = BeamConfig(max_len=pair.n + 1, **BEAM)
+                ids = model.generate(model.encoder_input(data.linearize(pair.graph)), beam)
+                records[f"{key}/beam5_ids"] = np.asarray(ids, dtype=np.int64)
+    return records
+
+
+def compare(records: dict, reference: dict) -> bool:
+    """Print the comparison per input set and overall; True when the gate holds."""
+    missing = sorted(set(reference) - set(records))
+    extra = sorted(set(records) - set(reference))
+    sets: dict[str, dict] = {}
+    for key in sorted(set(records) & set(reference)):
+        got, want = records[key], reference[key]
+        stats = sets.setdefault(key.split("/", 1)[0], dict(
+            arrays=0, identical=0, loss=0.0, grad=0.0, grad_at="-", ids=0, id_mismatches=0))
+        stats["arrays"] += 1
+        same = got.shape == want.shape and got.dtype == want.dtype
+        stats["identical"] += same and got.tobytes() == want.tobytes()
+        if key.endswith("/beam5_ids"):
+            stats["ids"] += 1
+            stats["id_mismatches"] += not (same and np.array_equal(got, want))
+        elif not same:
+            stats["grad"], stats["grad_at"] = float("inf"), key
+        elif "/grad/" in key:
+            diff, scale = np.abs(got - want).max(initial=0.0), np.abs(want).max(initial=0.0)
+            ratio = 0.0 if diff == 0.0 else diff / scale if scale > 0.0 else float("inf")
+            if not ratio <= stats["grad"]:  # NaN too
+                stats["grad"], stats["grad_at"] = ratio, key
+        else:
+            diff = abs(float(got) - float(want))
+            rel = 0.0 if diff == 0.0 else diff / abs(float(want)) if want != 0.0 else float("inf")
+            if not rel <= stats["loss"]:
+                stats["loss"] = rel
+    print(f"{'input set':<32} {'bit-identical':>15} {'loss rel':>10} {'grad ratio':>10} "
+          f"{'ids differ':>10}")
+    for name, s in sets.items():
+        print(f"{name:<32} {s['identical']:>7}/{s['arrays']:<7} {s['loss']:>10.2e} "
+              f"{s['grad']:>10.2e} {s['id_mismatches']:>4}/{s['ids']:<5}")
+    total = {field: sum(s[field] for s in sets.values())
+             for field in ("arrays", "identical", "ids", "id_mismatches")}
+    worst_loss = max((s["loss"] for s in sets.values()), default=0.0)
+    worst = max(sets.values(), key=lambda s: s["grad"], default=dict(grad=0.0, grad_at="-"))
+    print(f"bit-identical arrays: {total['identical']} of {total['arrays']}")
+    print(f"worst relative loss difference: {worst_loss:.3e}")
+    print(f"worst max|grad difference| / max|reference grad|: {worst['grad']:.3e} "
+          f"({worst['grad_at']})")
+    print(f"id sequences that differ: {total['id_mismatches']} of {total['ids']}")
+    if missing or extra:
+        print(f"records missing: {len(missing)} {missing[:3]}; extra: {len(extra)} {extra[:3]}")
+    passed = (not missing and not extra and worst_loss <= GATE and worst["grad"] <= GATE
+              and total["id_mismatches"] == 0)
+    print(f"verdict: {'PASS' if passed else 'FAIL'} (gate {GATE:.0e})")
+    return passed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--save", type=Path, metavar="FILE.npz", help="record the reference")
+    mode.add_argument("--against", type=Path, metavar="FILE.npz",
+                      help="compare with a reference recorded by --save")
+    args = parser.parse_args(argv)
+    records = record_all()
+    if args.save:
+        np.savez_compressed(args.save, **records)
+        print(f"saved {len(records)} arrays to {args.save}")
+        return 0
+    with np.load(args.against) as saved:
+        reference = {key: saved[key] for key in saved.files}
+    return 0 if compare(records, reference) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
