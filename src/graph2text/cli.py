@@ -121,12 +121,13 @@ def _parse_weights(text: str) -> tuple[float, float, float]:
     return tuple(float(p) for p in parts)
 
 
-def _validate_lengths(cfg: RunConfig, corpus) -> None:
+def _validate_lengths(cfg: RunConfig, corpus, task: str) -> None:
     longest_input = 0
     longest_target = 0
     for pair in corpus:
         m = linearize(pair.graph).m
-        longest_input = max(longest_input, m + 1 + pair.n)
+        # pretraining encodes graph <SEP> text, fine-tuning the graph alone
+        longest_input = max(longest_input, m + 1 + pair.n if task == "pretrain" else m)
         longest_target = max(longest_target, pair.n + 1)
     if longest_input > cfg.max_input_len:
         raise LengthError(
@@ -156,7 +157,7 @@ def cmd_train(args) -> int:
     corpus = load_corpus(args.corpus)
     if not corpus:
         raise EmptyCorpus(f"corpus {args.corpus} holds no pairs")
-    _validate_lengths(cfg, corpus)
+    _validate_lengths(cfg, corpus, args.command)
     init = read_checkpoint(args.init) if args.command == "finetune" else None
     vocab = build_vocab(corpus, min_freq=cfg.min_freq) if init is None else init.vocab
     model = build_model(vocab, *cfg.configs(), seed=cfg.seed)

@@ -26,9 +26,6 @@ from .autograd import (
 from .encoder import (
     ATTENTION_WEIGHTS,
     FFN_WEIGHTS,
-    init_attention_params,
-    init_ffn_params,
-    init_layer_norm_params,
     key_mask,
     require_sizes,
     sublayer_params,
@@ -63,19 +60,6 @@ class BeamConfig:
         if not self.length_penalty >= 0:  # NaN too
             raise ValueError("length_penalty must be >= 0")
         require_sizes(self, ("max_len",))
-
-
-def init_decoder_params(store: ParamStore, cfg: DecoderConfig, rng) -> None:
-    store.add("dec.pos_emb", rng.normal(0.0, 0.02, size=(cfg.max_output_len, cfg.d_model)))
-    for layer in range(cfg.num_layers):
-        p = f"dec.{layer}"
-        init_layer_norm_params(store, f"{p}.ln1", cfg.d_model)
-        init_attention_params(store, f"{p}.self", cfg.d_model, rng)
-        init_layer_norm_params(store, f"{p}.ln2", cfg.d_model)
-        init_attention_params(store, f"{p}.cross", cfg.d_model, rng)
-        init_layer_norm_params(store, f"{p}.ln3", cfg.d_model)
-        init_ffn_params(store, f"{p}.ffn", cfg.d_model, cfg.d_ff, rng)
-    init_layer_norm_params(store, "dec.final_ln", cfg.d_model)
 
 
 def _sublayers(params, layer: int) -> tuple[list, list, list]:

@@ -103,6 +103,7 @@ def key_mask(padding) -> np.ndarray | None:
 
 ATTENTION_WEIGHTS = ("wq", "wk", "wv", "wo")
 FFN_WEIGHTS = ("w1", "b1", "w2", "b2")
+AGG_WEIGHT_NAMES = ("wqs", "wks", "wvs", "wkr", "wvr")
 
 
 def sublayer_params(params, norm: str, block: str, names) -> list:
@@ -110,48 +111,6 @@ def sublayer_params(params, norm: str, block: str, names) -> list:
     the gain and bias of layer norm ``norm``, then the ``names`` weights of
     ``block``. ``params`` is a ``ParamStore`` or a dict of arrays."""
     return [params[f"{norm}.g"], params[f"{norm}.b"]] + [params[f"{block}.{n}"] for n in names]
-
-
-def init_attention_params(store: ParamStore, prefix: str, d_model: int, rng) -> None:
-    for name in ATTENTION_WEIGHTS:
-        store.add(f"{prefix}.{name}", rng.normal(0.0, 0.02, size=(d_model, d_model)))
-
-
-def init_ffn_params(store: ParamStore, prefix: str, d_model: int, d_ff: int, rng) -> None:
-    store.add(f"{prefix}.w1", rng.normal(0.0, 0.02, size=(d_model, d_ff)))
-    store.add(f"{prefix}.b1", np.zeros(d_ff))
-    store.add(f"{prefix}.w2", rng.normal(0.0, 0.02, size=(d_ff, d_model)))
-    store.add(f"{prefix}.b2", np.zeros(d_model))
-
-
-def init_layer_norm_params(store: ParamStore, prefix: str, d_model: int) -> None:
-    store.add(f"{prefix}.g", np.ones(d_model))
-    store.add(f"{prefix}.b", np.zeros(d_model))
-
-
-AGG_WEIGHT_NAMES = ("wqs", "wks", "wvs", "wkr", "wvr")
-
-
-def init_encoder_params(store: ParamStore, cfg: EncoderConfig, vocab_size: int, rng) -> None:
-    """Register positional embeddings and per-layer weights under "enc." names.
-
-    The head dimension is packed: each (d_model, d_model) matrix holds the
-    per-head (d_model, d_k) blocks side by side.
-    """
-    store.add("enc.pos_emb", rng.normal(0.0, 0.02, size=(cfg.max_input_len, cfg.d_model)))
-    for layer in range(cfg.num_layers):
-        p = f"enc.{layer}"
-        init_layer_norm_params(store, f"{p}.ln1", cfg.d_model)
-        init_attention_params(store, f"{p}.attn", cfg.d_model, rng)
-        if cfg.variant in (VARIANT_JOINT, VARIANT_REL):
-            for name in AGG_WEIGHT_NAMES:
-                store.add(f"{p}.agg.{name}", rng.normal(0.0, 0.02, size=(cfg.d_model, cfg.d_model)))
-        init_layer_norm_params(store, f"{p}.ln2", cfg.d_model)
-        init_ffn_params(store, f"{p}.ffn", cfg.d_model, cfg.d_ff, rng)
-    init_layer_norm_params(store, "enc.final_ln", cfg.d_model)
-    if cfg.variant == VARIANT_REL:
-        store.add("struct.ent_emb", rng.normal(0.0, 0.02, size=(vocab_size, cfg.d_model)))
-        store.add("struct.rel_emb", rng.normal(0.0, 0.02, size=(vocab_size, cfg.d_model)))
 
 
 def pooling_matrices(inp: EncoderInput) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:

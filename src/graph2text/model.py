@@ -9,8 +9,17 @@ import numpy as np
 
 from .autograd import ParamStore, Tensor, no_grad
 from .data import GraphTextPair, LinearizedGraph, linearize
-from .decoder import BeamConfig, DecoderConfig, decode_train, generate, init_decoder_params
-from .encoder import VARIANT_JOINT, EncoderConfig, EncoderInput, encode, init_encoder_params
+from .decoder import BeamConfig, DecoderConfig, decode_train, generate
+from .encoder import (
+    AGG_WEIGHT_NAMES,
+    ATTENTION_WEIGHTS,
+    VARIANT_JOINT,
+    VARIANT_REL,
+    VARIANT_SEQ,
+    EncoderConfig,
+    EncoderInput,
+    encode,
+)
 from .vocab import EOS_ID, SEP_ID, Vocabulary
 
 
@@ -125,6 +134,44 @@ class Seq2SeqModel:
         return self.vocab.decode_ids(ids)
 
 
+def parameter_shapes(encoder_config: EncoderConfig, decoder_config: DecoderConfig, vocab_size: int):
+    """Yield ``(name, shape)`` for every parameter of the model in creation
+    order: the one place that says which parameters a model has. It is lazy,
+    so a reader stops where a checkpoint's list ends, however many layers the
+    settings claim. Each (d_model, d_model) attention matrix packs the
+    per-head (d_model, d_k) blocks side by side."""
+    enc, dec = encoder_config, decoder_config
+    d = enc.d_model
+
+    def norm(prefix):
+        return [(f"{prefix}.g", (d,)), (f"{prefix}.b", (d,))]
+
+    def attention(prefix, names=ATTENTION_WEIGHTS):
+        return [(f"{prefix}.{n}", (d, d)) for n in names]
+
+    def ffn(prefix, d_ff):
+        return [(f"{prefix}.w1", (d, d_ff)), (f"{prefix}.b1", (d_ff,)),
+                (f"{prefix}.w2", (d_ff, d)), (f"{prefix}.b2", (d,))]
+
+    yield "tok_emb", (vocab_size, d)
+    yield "enc.pos_emb", (enc.max_input_len, d)
+    for layer in range(enc.num_layers):
+        p = f"enc.{layer}"
+        yield from norm(f"{p}.ln1") + attention(f"{p}.attn")
+        if enc.variant != VARIANT_SEQ:
+            yield from attention(f"{p}.agg", AGG_WEIGHT_NAMES)
+        yield from norm(f"{p}.ln2") + ffn(f"{p}.ffn", enc.d_ff)
+    yield from norm("enc.final_ln")
+    if enc.variant == VARIANT_REL:
+        yield from [("struct.ent_emb", (vocab_size, d)), ("struct.rel_emb", (vocab_size, d))]
+    yield "dec.pos_emb", (dec.max_output_len, d)
+    for layer in range(dec.num_layers):
+        p = f"dec.{layer}"
+        yield from norm(f"{p}.ln1") + attention(f"{p}.self") + norm(f"{p}.ln2")
+        yield from attention(f"{p}.cross") + norm(f"{p}.ln3") + ffn(f"{p}.ffn", dec.d_ff)
+    yield from norm("dec.final_ln")
+
+
 def build_model(
     vocab: Vocabulary,
     encoder_config: EncoderConfig,
@@ -135,7 +182,11 @@ def build_model(
         raise ValueError("encoder and decoder must share d_model")
     rng = np.random.default_rng(seed)
     store = ParamStore()
-    store.add("tok_emb", rng.normal(0.0, 0.02, size=(len(vocab), encoder_config.d_model)))
-    init_encoder_params(store, encoder_config, len(vocab), rng)
-    init_decoder_params(store, decoder_config, rng)
+    for name, shape in parameter_shapes(encoder_config, decoder_config, len(vocab)):
+        if name.endswith(".g"):  # layer-norm gains
+            store.add(name, np.ones(shape))
+        elif name.endswith((".b", ".b1", ".b2")):  # biases
+            store.add(name, np.zeros(shape))
+        else:  # weights and embeddings
+            store.add(name, rng.normal(0.0, 0.02, size=shape))
     return Seq2SeqModel(vocab, encoder_config, decoder_config, store)

@@ -15,7 +15,7 @@ import numpy as np
 from .autograd import ParamStore, backward, scale
 from .encoder import require_sizes
 from .errors import CheckpointError, EmptyCorpus, NumericError, UsageError
-from .model import ModelSettings, Seq2SeqModel, build_model
+from .model import ModelSettings, Seq2SeqModel, parameter_shapes
 from .objectives import OTConfig, combined_pretrain_loss, loss_finetune
 from .vocab import Vocabulary
 
@@ -264,7 +264,9 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
-def _read_params(path: Path, manifest: dict) -> dict[str, np.ndarray]:
+def _read_params(path: Path, manifest: dict, table) -> dict[str, np.ndarray]:
+    """The arrays of params.bin, each manifest entry checked against the next
+    ``(name, shape)`` of the iterator ``table`` before its array is read."""
     bin_path = path / "params.bin"
     if not bin_path.is_file():
         raise CheckpointError(f"missing parameter file: {bin_path}")
@@ -274,20 +276,29 @@ def _read_params(path: Path, manifest: dict) -> dict[str, np.ndarray]:
     for entry in manifest["params"]:
         if not isinstance(entry, dict) or "name" not in entry or "shape" not in entry:
             raise CheckpointError(f"manifest params entry {entry!r} lacks a name or a shape")
-        if not isinstance(entry["name"], str):
-            raise CheckpointError(f"parameter name {entry['name']!r} is not a string")
-        if entry["name"] in arrays:
-            raise CheckpointError(f"parameter {entry['name']!r} appears twice in the manifest")
+        name, shape = entry["name"], entry["shape"]
+        if not isinstance(name, str):
+            raise CheckpointError(f"parameter name {name!r} is not a string")
+        if name in arrays:
+            raise CheckpointError(f"parameter {name!r} appears twice in the manifest")
         if entry.get("dtype") != "f64":
             raise CheckpointError(f"unsupported dtype {entry.get('dtype')!r}")
-        shape = entry["shape"]
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-            raise CheckpointError(f"shape of {entry['name']!r} is not a list of sizes: {shape!r}")
+            raise CheckpointError(f"shape of {name!r} is not a list of sizes: {shape!r}")
         size = math.prod(shape)  # exact: np.prod wraps at int64
         if offset + size > raw.size:
             raise CheckpointError("parameter file is truncated")
-        arrays[entry["name"]] = raw[offset : offset + size].reshape(shape).astype(np.float64)
+        want, expected = next(table, (None, None))
+        if name != want:
+            implied = "no more parameters" if want is None else repr(want)
+            raise CheckpointError(f"manifest lists {name!r} where the settings imply {implied}")
+        if tuple(shape) != expected:
+            raise CheckpointError(f"shape of {name!r} is {tuple(shape)}, expected {expected}")
+        arrays[name] = raw[offset : offset + size].reshape(shape).astype(np.float64)
         offset += size
+    missing = next(table, None)
+    if missing is not None:
+        raise CheckpointError(f"checkpoint lacks parameter {missing[0]!r}")
     # np.fromfile drops a partial trailing value, so compare bytes, not values
     if bin_path.stat().st_size != 8 * offset:
         raise CheckpointError("parameter file has trailing bytes beyond the manifest")
@@ -306,7 +317,8 @@ class Checkpoint:
 def read_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint directory once: the manifest's model settings
     (types and ranges checked), the vocabulary (checked against the
-    manifest's ``vocab_size``) and the parameter arrays."""
+    manifest's ``vocab_size``) and the parameter arrays, whose names, order
+    and shapes must be exactly the ``parameter_shapes`` of those settings."""
     path = Path(path)
     manifest = _read_manifest(path)
     model_section = manifest["model"]
@@ -331,31 +343,18 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     size = model_section.get("vocab_size")
     if type(size) is not int or size != len(vocab):
         raise CheckpointError(f"vocabulary size {len(vocab)} disagrees with manifest {size!r}")
-    return Checkpoint(settings, vocab, _read_params(path, manifest))
-
-
-def _copy_params(store: ParamStore, arrays: dict[str, np.ndarray]) -> None:
-    """Assign each stored parameter its array; a missing name or a shape
-    mismatch is an error, and arrays the store does not hold are ignored."""
-    for name, t in store.items():
-        if name not in arrays:
-            raise CheckpointError(f"checkpoint lacks parameter {name!r}")
-        if arrays[name].shape != t.data.shape:
-            raise CheckpointError(
-                f"shape of {name!r} is {arrays[name].shape}, expected {t.data.shape}"
-            )
-        t.data = arrays[name]
+    table = parameter_shapes(*settings.configs(), len(vocab))
+    return Checkpoint(settings, vocab, _read_params(path, manifest, table))
 
 
 def load_checkpoint(path: str | Path) -> Seq2SeqModel:
-    """Rebuild the model from a checkpoint directory, bit-for-bit."""
+    """Rebuild the model from a checkpoint directory, bit-for-bit, from the
+    arrays ``read_checkpoint`` has checked against the parameter table."""
     ckpt = read_checkpoint(path)
-    model = build_model(ckpt.vocab, *ckpt.settings.configs(), seed=0)
-    extra = sorted(set(ckpt.arrays) - set(model.store.names()))
-    if extra:  # a missing name fails in _copy_params
-        raise CheckpointError(f"checkpoint holds parameters the model lacks: {extra}")
-    _copy_params(model.store, ckpt.arrays)
-    return model
+    store = ParamStore()
+    for name, array in ckpt.arrays.items():  # in table order
+        store.add(name, array)
+    return Seq2SeqModel(ckpt.vocab, *ckpt.settings.configs(), store)
 
 
 def init_model_from_checkpoint(model: Seq2SeqModel, ckpt: Checkpoint) -> None:
@@ -370,8 +369,12 @@ def init_model_from_checkpoint(model: Seq2SeqModel, ckpt: Checkpoint) -> None:
     """
     if model.vocab.id_to_token != ckpt.vocab.id_to_token:
         raise CheckpointError("model vocabulary differs from the checkpoint's")
-    arrays = {name: array.copy() for name, array in ckpt.arrays.items()}  # one per model
     for name, t in model.store.items():
-        if name not in arrays and any(marker in name for marker in _OPTIONAL_PARAM_MARKERS):
-            arrays[name] = np.zeros_like(t.data)
-    _copy_params(model.store, arrays)
+        array = ckpt.arrays.get(name)
+        if array is None and any(marker in name for marker in _OPTIONAL_PARAM_MARKERS):
+            array = np.zeros_like(t.data)
+        if array is None:
+            raise CheckpointError(f"checkpoint lacks parameter {name!r}")
+        if array.shape != t.data.shape:
+            raise CheckpointError(f"shape of {name!r} is {array.shape}, expected {t.data.shape}")
+        t.data = array.copy()  # one copy per model: training writes in place

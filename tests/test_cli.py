@@ -1,6 +1,7 @@
 import json
 import random
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -252,9 +253,9 @@ class TestFinetuneAndGenerate:
         reads = []
         original = training._read_params
 
-        def spy(path, manifest):
+        def spy(path, *args):
             reads.append(path)
-            return original(path, manifest)
+            return original(path, *args)
 
         monkeypatch.setattr(training, "_read_params", spy)
         code = main(["finetune", "--config", str(config_file), "--corpus", str(corpus_file),
@@ -284,7 +285,18 @@ class TestFinetuneAndGenerate:
         lambda m, ckpt: m["model"].pop("d_ff"),
         lambda m, ckpt: m["model"].update(vocab_size=m["model"]["vocab_size"] + 1),
         lambda m, ckpt: m.update(vocab_file=str(ckpt / "vocab.txt")),
-    ], ids=["num-heads-zero", "variant-bogus", "model-lacks-key", "vocab-size", "vocab-file"])
+        # the weights are a joint model's; the settings must imply exactly them
+        lambda m, ckpt: m["model"].update(variant="seq"),
+        lambda m, ckpt: next(e for e in m["params"] if ".agg." in e["name"]).update(
+            name="enc.0.agg.renamed"),
+        # each would size one parameter at 2**40 rows or columns
+        lambda m, ckpt: m["model"].update(d_model=2**40),
+        lambda m, ckpt: m["model"].update(d_ff=2**40),
+        lambda m, ckpt: m["model"].update(max_input_len=2**40),
+        lambda m, ckpt: m["model"].update(max_output_len=2**40),
+    ], ids=["num-heads-zero", "variant-bogus", "model-lacks-key", "vocab-size", "vocab-file",
+            "variant-seq", "agg-renamed", "d-model-huge", "d-ff-huge", "max-input-len-huge",
+            "max-output-len-huge"])
     def test_finetune_rejects_what_generate_rejects(self, tmp_path, corpus_file, config_file,
                                                      capsys, edit):
         ckpt = self._pretrained(tmp_path, corpus_file, config_file)
@@ -376,14 +388,24 @@ D8_CONFIG = {"d_model": 8, "num_heads": 2, "encoder_layers": 1, "decoder_layers"
 ONE_PAIR = {"entities": ["ada", "bo"], "triples": [[1, "likes", 2]], "text": "ada likes bo"}
 
 
+@pytest.fixture(scope="module")
+def d8_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("d8")
+    (root / "one.jsonl").write_text(json.dumps(ONE_PAIR) + "\n")
+    (root / "small.json").write_text(json.dumps(D8_CONFIG))
+    assert main(["pretrain", "--config", str(root / "small.json"),
+                 "--corpus", str(root / "one.jsonl"), "--out", str(root / "pre")]) == 0
+    return root
+
+
 def _mutate_model_key(key):
     def mutate(path, rng):
         def edit(manifest):
             value = manifest["model"][key]
             if isinstance(value, str):
                 candidates = ["bogus", "seq", "rel", "", 5, None]
-            else:  # sizes stay within twice the config's: the model is built first
-                candidates = [0, -1, 1, value // 2, value + 1, 2 * value, float(value),
+            else:
+                candidates = [0, -1, 1, value // 2, value + 1, 2 * value, 2**40, float(value),
                               str(value), True, None, [value]]
             if rng.random() < 0.15:
                 del manifest["model"][key]
@@ -472,15 +494,6 @@ class TestCheckpointMutations:
 
     DRAWS = 8
 
-    @pytest.fixture(scope="class")
-    def d8_dir(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("d8")
-        (root / "one.jsonl").write_text(json.dumps(ONE_PAIR) + "\n")
-        (root / "small.json").write_text(json.dumps(D8_CONFIG))
-        assert main(["pretrain", "--config", str(root / "small.json"),
-                     "--corpus", str(root / "one.jsonl"), "--out", str(root / "pre")]) == 0
-        return root
-
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
     def test_mutated_checkpoint_exits_0_or_1(self, d8_dir, tmp_path, capsys, mutation):
         root = d8_dir
@@ -510,6 +523,53 @@ class TestCheckpointMutations:
                 codes.append(code)
             if rejected:
                 assert codes == [1, 1], (draw, codes)
+
+
+class TestHugeLayerCount:
+    """The checkpoint reader walks the parameter table only as far as the
+    manifest's list reaches, so a layer count of 2**40 costs nothing."""
+
+    @pytest.mark.parametrize("key", ["encoder_layers", "decoder_layers"])
+    def test_rejected_at_once(self, d8_dir, tmp_path, capsys, key):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(d8_dir / "pre" / "checkpoints" / "epoch-1", ckpt)
+        edit_manifest(ckpt, lambda manifest: manifest["model"].update({key: 2**40}))
+        for argv in (["generate", "--ckpt", str(ckpt), "--input", str(d8_dir / "one.jsonl"),
+                      "--out", str(tmp_path / "hyp.txt")],
+                     ["finetune", "--config", str(d8_dir / "small.json"),
+                      "--corpus", str(d8_dir / "one.jsonl"), "--init", str(ckpt),
+                      "--out", str(tmp_path / "ft")]):
+            capsys.readouterr()
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+            assert code == 1, argv[0]
+            assert capsys.readouterr().err.startswith("error: "), argv[0]
+            assert elapsed < 1.0, (argv[0], elapsed)
+
+
+class TestCorpusLengths:
+    """Pretraining encodes ``graph <SEP> text``, fine-tuning the graph
+    alone; ONE_PAIR's graph is 6 tokens and its text 3."""
+
+    @pytest.mark.parametrize("command, needed", [("pretrain", 10), ("finetune", 6)])
+    def test_max_input_len_boundary(self, d8_dir, tmp_path, capsys, command, needed):
+        corpus = d8_dir / "one.jsonl"
+        for max_input_len, want in ((needed, 0), (needed - 1, 1)):
+            run = tmp_path / str(max_input_len)
+            cfg = run / "cfg.json"
+            run.mkdir()
+            cfg.write_text(json.dumps(dict(D8_CONFIG, max_input_len=max_input_len)))
+            argv = [command, "--config", str(cfg), "--corpus", str(corpus),
+                    "--out", str(run / "out")]
+            if command == "finetune":
+                model = build_model(build_vocab(load_corpus(corpus)),
+                                    *RunConfig.from_file(str(cfg)).configs())
+                argv += ["--init", str(save_checkpoint(model, run / "init"))]
+            capsys.readouterr()
+            assert main(argv) == want, (command, max_input_len, capsys.readouterr().err)
+            if want:
+                assert f"corpus needs max_input_len >= {needed}" in capsys.readouterr().err
 
 
 class TestGenerateBeamSettings:

@@ -9,7 +9,7 @@ import pytest
 from graph2text import training
 from graph2text.autograd import ParamStore, add, backward, scale
 from graph2text.errors import CheckpointError, NumericError, UsageError
-from graph2text.model import ModelSettings, build_model
+from graph2text.model import ModelSettings, build_model, parameter_shapes
 from graph2text.objectives import combined_pretrain_loss, loss_finetune
 from graph2text.synth import build_toy_model, overfit_corpus
 from graph2text.training import (
@@ -327,6 +327,21 @@ class TestStreamedBackward:
         assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+class TestParameterTable:
+    @pytest.mark.parametrize("variant", ["seq", "joint", "rel"])
+    def test_build_model_draws_the_table(self, variant):
+        model, _ = build_toy_model(corpus=overfit_corpus(3), variant=variant)
+        table = parameter_shapes(model.encoder_config, model.decoder_config, len(model.vocab))
+        assert [(name, t.data.shape) for name, t in model.store.items()] == list(table)
+        for name, t in model.store.items():
+            if name.endswith(".g"):
+                assert np.all(t.data == 1.0), name
+            elif name.endswith((".b", ".b1", ".b2")):
+                assert np.all(t.data == 0.0), name
+            else:
+                assert 0.01 < t.data.std() < 0.03, name
+
+
 class TestCheckpoint:
     def _trained_model(self):
         corpus = overfit_corpus(3)
@@ -351,6 +366,17 @@ class TestCheckpoint:
         save_checkpoint(model, tmp_path / "ckpt")
         loaded = load_checkpoint(tmp_path / "ckpt")
         assert loss_finetune(loaded, corpus[0]).item() == loss_finetune(model, corpus[0]).item()
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        model, _ = self._trained_model()
+        path = save_checkpoint(model, tmp_path / "ckpt")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint built a random model")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        loaded = load_checkpoint(path)
+        assert loaded.store.names() == model.store.names()
 
     def test_truncated_params_rejected(self, tmp_path):
         model, _ = self._trained_model()
@@ -406,10 +432,21 @@ class TestCheckpoint:
         # equal to the vocabulary's size, but not an int
         (lambda m: m["model"].update(vocab_size=float(m["model"]["vocab_size"])),
          r"vocabulary size (\d+) disagrees with manifest \1\.0"),
+        # the entries must be the settings' parameter table, in its order
+        (lambda m: m["params"].insert(1, m["params"].pop(2)),
+         "manifest lists 'enc.0.ln1.g' where the settings imply 'enc.pos_emb'"),
+        (lambda m: m["params"].append({"name": "extra", "shape": [0], "dtype": "f64"}),
+         "manifest lists 'extra' where the settings imply no more parameters"),
+        (lambda m: m["params"].pop(), "checkpoint lacks parameter 'dec.final_ln.b'"),
+        (lambda m: m["params"][0].update(shape=[2, 8]),
+         r"shape of 'tok_emb' is \(2, 8\), expected \(\d+, 16\)"),
+        (lambda m: m["model"].update(variant="rel"),
+         "manifest lists 'dec.pos_emb' where the settings imply 'struct.ent_emb'"),
     ], ids=["model-lacks-key", "entry-lacks-name", "entry-lacks-shape", "params-not-list",
             "model-not-object", "shape-not-list", "d-model-not-int", "max-input-len-float",
             "num-heads-zero", "vocab-file-not-string", "name-not-string", "name-twice",
-            "shape-size-past-int64", "vocab-size-float"])
+            "shape-size-past-int64", "vocab-size-float", "entries-reordered", "entry-extra",
+            "entry-missing", "shape-mismatch", "variant-rel"])
     def test_malformed_manifest_rejected(self, tmp_path, edit, message):
         model, _ = self._trained_model()
         path = save_checkpoint(model, tmp_path / "ckpt")
