@@ -46,7 +46,6 @@ from .training import (
     TrainConfig,
     adam_step,
     clip_gradients,
-    init_model_from_checkpoint,
     load_checkpoint,
     lr_at,
     read_checkpoint,

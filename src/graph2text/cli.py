@@ -28,13 +28,7 @@ from .metrics import evaluate_corpus
 from .model import ModelSettings, build_model
 from .objectives import OTConfig, frozen_losses
 from .synth import gradcheck_pair, toy_configs
-from .training import (
-    TrainConfig,
-    init_model_from_checkpoint,
-    load_checkpoint,
-    read_checkpoint,
-    train,
-)
+from .training import TrainConfig, load_checkpoint, train
 from .vocab import build_vocab
 
 _USER_ERRORS = (
@@ -43,6 +37,7 @@ _USER_ERRORS = (
     CheckpointError,
     EvalError,
     LengthError,
+    MemoryError,  # a model that the run config sizes beyond memory
     FileNotFoundError,
     IsADirectoryError,
     NotADirectoryError,
@@ -158,11 +153,11 @@ def cmd_train(args) -> int:
     if not corpus:
         raise EmptyCorpus(f"corpus {args.corpus} holds no pairs")
     _validate_lengths(cfg, corpus, args.command)
-    init = read_checkpoint(args.init) if args.command == "finetune" else None
-    vocab = build_vocab(corpus, min_freq=cfg.min_freq) if init is None else init.vocab
-    model = build_model(vocab, *cfg.configs(), seed=cfg.seed)
-    if init is not None:
-        init_model_from_checkpoint(model, init)
+    if args.command == "finetune":
+        model = load_checkpoint(args.init, cfg)
+    else:
+        vocab = build_vocab(corpus, min_freq=cfg.min_freq)
+        model = build_model(vocab, *cfg.configs(), seed=cfg.seed)
     out_dir = Path(args.out)
     _write_resolved_config(cfg, out_dir)
     train(corpus, model, train_cfg, out_dir)

@@ -226,6 +226,13 @@ def _parse_record(line_no: int, record: dict) -> GraphTextPair:
 
     if not isinstance(record["text"], str):
         raise CorpusParseError(line_no, "'text' must be a string")
+    # JSON's \ud800 escape loads as a lone surrogate, which no file can hold
+    try:
+        "".join((*entities, *relations.values(), record["text"])).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        message = f"string holds {bad!r}, which UTF-8 cannot encode"
+        raise CorpusParseError(line_no, message) from None
     text = tuple(record["text"].casefold().split())
 
     if "mentions" in record and record["mentions"] is not None:

@@ -347,34 +347,25 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(settings, vocab, _read_params(path, manifest, table))
 
 
-def load_checkpoint(path: str | Path) -> Seq2SeqModel:
-    """Rebuild the model from a checkpoint directory, bit-for-bit, from the
-    arrays ``read_checkpoint`` has checked against the parameter table."""
+def load_checkpoint(path: str | Path, settings: ModelSettings | None = None) -> Seq2SeqModel:
+    """Build the model that ``settings`` (the checkpoint's own when None)
+    describe, with the checkpoint's vocabulary and arrays and no random draw.
+    A ``.agg.``/``struct.`` weight that the checkpoint lacks (a plainer
+    variant) is zero-filled, so the first forward pass reproduces the plain
+    model; any other missing parameter or differing shape is a
+    ``CheckpointError``, and extra arrays are ignored. ``tok_emb`` comes
+    first, so nothing wider than the checkpoint's arrays is allocated."""
     ckpt = read_checkpoint(path)
+    settings = ckpt.settings if settings is None else settings
+    configs = settings.configs()
     store = ParamStore()
-    for name, array in ckpt.arrays.items():  # in table order
-        store.add(name, array)
-    return Seq2SeqModel(ckpt.vocab, *ckpt.settings.configs(), store)
-
-
-def init_model_from_checkpoint(model: Seq2SeqModel, ckpt: Checkpoint) -> None:
-    """Copy matching parameters from a read checkpoint into an existing model.
-
-    The model's vocabulary must be the checkpoint's, token for token.
-    Structure/aggregation weights absent from the checkpoint (fine-tuning a
-    richer variant from a plainer one) are zero-initialized, which makes the
-    first forward pass reproduce the plain model exactly. Any other missing
-    parameter, or any shape mismatch, is an error. Extra checkpoint
-    parameters are ignored.
-    """
-    if model.vocab.id_to_token != ckpt.vocab.id_to_token:
-        raise CheckpointError("model vocabulary differs from the checkpoint's")
-    for name, t in model.store.items():
+    for name, shape in parameter_shapes(*configs, len(ckpt.vocab)):
         array = ckpt.arrays.get(name)
         if array is None and any(marker in name for marker in _OPTIONAL_PARAM_MARKERS):
-            array = np.zeros_like(t.data)
+            array = np.zeros(shape)
         if array is None:
             raise CheckpointError(f"checkpoint lacks parameter {name!r}")
-        if array.shape != t.data.shape:
-            raise CheckpointError(f"shape of {name!r} is {array.shape}, expected {t.data.shape}")
-        t.data = array.copy()  # one copy per model: training writes in place
+        if array.shape != shape:
+            raise CheckpointError(f"shape of {name!r} is {array.shape}, expected {shape}")
+        store.add(name, array)  # read_checkpoint's own copy: no two models share it
+    return Seq2SeqModel(ckpt.vocab, *configs, store)

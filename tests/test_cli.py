@@ -4,6 +4,7 @@ import shutil
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graph2text import cli, training
@@ -246,6 +247,18 @@ class TestFinetuneAndGenerate:
                      "--init", str(ckpt), "--out", str(out)])
         assert code == 0
         assert (out / "log.jsonl").is_file()
+
+    def test_finetune_draws_no_random_numbers(self, tmp_path, corpus_file, config_file,
+                                              monkeypatch, capsys):
+        ckpt = self._pretrained(tmp_path, corpus_file, config_file)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("finetune built a random model")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        code = main(["finetune", "--config", str(config_file), "--corpus", str(corpus_file),
+                     "--init", str(ckpt), "--out", str(tmp_path / "ft")])
+        assert code == 0, capsys.readouterr().err
 
     def test_finetune_reads_init_parameters_once(self, tmp_path, corpus_file, config_file,
                                                  monkeypatch):
@@ -546,6 +559,160 @@ class TestHugeLayerCount:
             assert code == 1, argv[0]
             assert capsys.readouterr().err.startswith("error: "), argv[0]
             assert elapsed < 1.0, (argv[0], elapsed)
+
+
+class TestFinetuneSizedByConfig:
+    """``finetune --init`` compares the run config's parameter table with the
+    checkpoint before it allocates anything sized by the config."""
+
+    @pytest.mark.parametrize("key, name", [
+        ("d_model", "tok_emb"), ("d_ff", "enc.0.ffn.w1"),
+        ("max_input_len", "enc.pos_emb"), ("max_output_len", "dec.pos_emb"),
+    ])
+    def test_huge_size_names_the_parameter(self, d8_dir, tmp_path, capsys, key, name):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(dict(D8_CONFIG, **{key: 2**40})))
+        capsys.readouterr()
+        code = main(["finetune", "--config", str(cfg), "--corpus", str(d8_dir / "one.jsonl"),
+                     "--init", str(d8_dir / "pre" / "checkpoints" / "epoch-1"),
+                     "--out", str(tmp_path / "ft")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith(f"error: shape of {name!r} is "), err
+        assert str(2**40) in err
+        assert not (tmp_path / "ft").exists()
+
+    @pytest.mark.parametrize("key, name", [
+        ("encoder_layers", "enc.1.ln1.g"), ("decoder_layers", "dec.2.ln1.g"),
+    ])
+    def test_huge_layer_count_rejected_at_once(self, d8_dir, tmp_path, capsys, key, name):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps(dict(D8_CONFIG, **{key: 2**40})))
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = main(["finetune", "--config", str(cfg), "--corpus", str(d8_dir / "one.jsonl"),
+                     "--init", str(d8_dir / "pre" / "checkpoints" / "epoch-1"),
+                     "--out", str(tmp_path / "ft")])
+        elapsed = time.perf_counter() - start
+        assert code == 1
+        assert capsys.readouterr().err == f"error: checkpoint lacks parameter {name!r}\n"
+        assert elapsed < 1.0, elapsed
+
+
+@pytest.fixture
+def address_space_cap():
+    """Cap this process's address space at 4 TiB while a test runs, so that
+    an array sized 2**40 fails to allocate even where the kernel would
+    overcommit it; the old limit is restored afterwards."""
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 2**42 if soft == resource.RLIM_INFINITY else min(soft, 2**42)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    yield
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+class TestConfigBeyondMemory:
+    """A model that the run config sizes beyond memory is a user error."""
+
+    @pytest.mark.parametrize("key", ["d_model", "d_ff", "max_input_len", "max_output_len"])
+    @pytest.mark.parametrize("command", ["pretrain", "gradcheck"])
+    def test_exits_1_and_writes_nothing(self, d8_dir, tmp_path, capsys, address_space_cap,
+                                        command, key):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(dict(D8_CONFIG, **{key: 2**40})))
+        argv = [command, "--config", str(cfg)]
+        if command == "pretrain":
+            argv += ["--corpus", str(d8_dir / "one.jsonl"), "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not (tmp_path / "out").exists()
+
+
+CORPUS_RECORDS = [
+    ONE_PAIR,
+    {"entities": ["cy", "dex lee", "eli"], "triples": [[1, "knows", 2], [2, "helps", 3]],
+     "text": "cy knows dex lee", "mentions": {"1": [1], "2": [3, 4]}},
+]
+CORPUS_VALUES = [None, True, 0, -1, 2, 3, 2**40, 1.5, "", " ", "ada", "\ud800", "a\udfffb",
+                 "é ö", "w " * 30, [], {}, [1], ["ada"], ["\ud800"], [[1, "likes", 2]],
+                 {"1": [1]}, {"0": [1]}]
+
+
+def _mutated_corpus(rng) -> bytes:
+    """The two records of CORPUS_RECORDS with one seeded edit: a field, an
+    element of a list, a mention or the raw bytes of a line."""
+    records = json.loads(json.dumps(CORPUS_RECORDS))
+    record = rng.choice(records)
+    kind = rng.choice(["field", "drop", "element", "mention", "bytes"])
+    if kind == "field":
+        record[rng.choice(["entities", "triples", "text", "mentions"])] = rng.choice(CORPUS_VALUES)
+    elif kind == "drop":
+        del record[rng.choice(sorted(record))]
+    elif kind == "element":
+        items = record[rng.choice(["entities", "triples"])]
+        i = rng.randrange(len(items))
+        if isinstance(items[i], list) and rng.random() < 0.7:
+            items[i][rng.randrange(3)] = rng.choice(CORPUS_VALUES)
+        else:
+            items[i] = rng.choice(CORPUS_VALUES)
+    elif kind == "mention":
+        record.setdefault("mentions", {})[rng.choice(["1", "2", "3", "0", "x"])] = rng.choice(
+            CORPUS_VALUES)
+    lines = [json.dumps(r).encode() for r in records]
+    if kind == "bytes":
+        i = rng.randrange(len(lines))
+        lines[i] = rng.choice([
+            lines[i][: rng.randrange(len(lines[i]))], b"[]", b"null", b"{}", b"",
+            b"\xff" + lines[i], b"\xef\xbb\xbf" + lines[i], lines[i].replace(b"1", b"1e400"),
+            lines[i].replace(b"1", b"NaN", 1),
+        ])
+    return b"\n".join(lines) + b"\n"
+
+
+class TestCorpusMutations:
+    """Seeded edits of a corpus read by ``linearize`` and ``pretrain``: each
+    command exits 0 or 1, an exit 1 prints an ``error:`` line, and a
+    ``pretrain`` that exits 1 writes nothing under ``--out``."""
+
+    DRAWS = 200
+
+    def test_mutated_corpus_exits_0_or_1(self, d8_dir, tmp_path, capsys):
+        for draw in range(self.DRAWS):
+            corpus = tmp_path / f"corpus-{draw}.jsonl"
+            corpus.write_bytes(_mutated_corpus(random.Random(f"corpus-{draw}")))
+            out = tmp_path / f"pre-{draw}"
+            codes = {}
+            for argv in (["linearize", "--corpus", str(corpus)],
+                         ["pretrain", "--config", str(d8_dir / "small.json"),
+                          "--corpus", str(corpus), "--out", str(out)]):
+                capsys.readouterr()
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 1), (draw, argv[0], code, err)
+                if code == 1:
+                    assert any(line.startswith("error: ") for line in err.splitlines()), (
+                        draw, argv[0], err)
+                codes[argv[0]] = code
+            if codes["pretrain"] == 1:
+                assert not out.exists(), draw
+
+    def test_lone_surrogate_rejected_at_load(self, d8_dir, tmp_path, capsys):
+        corpus = tmp_path / "surrogate.jsonl"
+        corpus.write_text(json.dumps(ONE_PAIR) + "\n"
+                          + json.dumps(dict(ONE_PAIR, entities=["\ud800x", "bo"])) + "\n")
+        ckpt = d8_dir / "pre" / "checkpoints" / "epoch-1"
+        for argv in (["linearize", "--corpus", str(corpus)],
+                     ["pretrain", "--config", str(d8_dir / "small.json"), "--corpus", str(corpus),
+                      "--out", str(tmp_path / "out")],
+                     ["generate", "--ckpt", str(ckpt), "--input", str(corpus),
+                      "--out", str(tmp_path / "out")]):
+            capsys.readouterr()
+            assert main(argv) == 1, argv[0]
+            err = capsys.readouterr().err
+            assert err == "error: line 2: string holds '\\ud800', which UTF-8 cannot encode\n", err
+            assert not (tmp_path / "out").exists(), argv[0]
 
 
 class TestCorpusLengths:

@@ -229,3 +229,22 @@ class TestLoadCorpus:
         with pytest.raises(CorpusParseError) as err:
             load_corpus(self._write(tmp_path, [rec]))
         assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("entities", ["\ud800x", "b"]),
+        ("triples", [[1, "r\udfff", 2]]),
+        ("text", "a \ud800 b"),
+    ], ids=["entity", "relation", "text"])
+    def test_lone_surrogate_names_line(self, tmp_path, field, value):
+        # JSON's \ud800 escape loads, but no UTF-8 file (vocab.txt) can hold it
+        good = {"entities": ["a", "b"], "triples": [[1, "r", 2]], "text": "a r b"}
+        bad = dict(good, **{field: value})
+        assert "\\ud" in json.dumps(bad)  # ASCII on disk: only the loaded string is bad
+        with pytest.raises(CorpusParseError, match="UTF-8 cannot encode") as err:
+            load_corpus(self._write(tmp_path, [good, bad]))
+        assert err.value.line_no == 2
+
+    def test_astral_character_from_surrogate_pair_loads(self, tmp_path):
+        rec = {"entities": ["a\U0001f600", "b"], "triples": [[1, "r", 2]], "text": "a r b"}
+        assert "\\ud83d\\ude00" in json.dumps(rec)
+        assert load_corpus(self._write(tmp_path, [rec]))[0].graph.entities[0] == "a\U0001f600"

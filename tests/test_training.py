@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -9,7 +10,7 @@ import pytest
 from graph2text import training
 from graph2text.autograd import ParamStore, add, backward, scale
 from graph2text.errors import CheckpointError, NumericError, UsageError
-from graph2text.model import ModelSettings, build_model, parameter_shapes
+from graph2text.model import ModelSettings, parameter_shapes
 from graph2text.objectives import combined_pretrain_loss, loss_finetune
 from graph2text.synth import build_toy_model, overfit_corpus
 from graph2text.training import (
@@ -18,7 +19,6 @@ from graph2text.training import (
     adam_step,
     clip_gradients,
     global_grad_norm,
-    init_model_from_checkpoint,
     load_checkpoint,
     lr_at,
     model_config_dict,
@@ -26,7 +26,6 @@ from graph2text.training import (
     save_checkpoint,
     train,
 )
-from graph2text.vocab import Vocabulary
 
 
 class TestTrainConfig:
@@ -387,10 +386,12 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("load", [load_checkpoint,
-                                      lambda path: init_model_from_checkpoint(
-                                          build_toy_model(corpus=overfit_corpus(3))[0],
-                                          read_checkpoint(path))],
-                             ids=["load_checkpoint", "init_model_from_checkpoint"])
+                                      lambda path: load_checkpoint(
+                                          path, ModelSettings(variant="rel", d_model=16,
+                                                              num_heads=2, d_ff=8,
+                                                              max_input_len=22,
+                                                              max_output_len=10))],
+                             ids=["load_checkpoint", "load_checkpoint_with_settings"])
     def test_partial_trailing_value_rejected(self, tmp_path, load):
         # np.fromfile drops the 3 stray bytes; the size check must not
         model, _ = self._trained_model()
@@ -496,31 +497,18 @@ class TestCheckpoint:
         for name, t in model.store.items():
             assert ckpt.arrays[name].tobytes() == t.data.tobytes()
 
-    def test_init_rejects_another_vocabulary(self, tmp_path):
-        # same size, two tokens swapped: the rows would land on the wrong tokens
-        corpus = overfit_corpus(3)
-        model, _ = build_toy_model(corpus=corpus)
-        ckpt = read_checkpoint(save_checkpoint(model, tmp_path / "ckpt"))
-        tokens = list(model.vocab.id_to_token)
-        tokens[-1], tokens[-2] = tokens[-2], tokens[-1]
-        swapped = build_model(Vocabulary(tokens), model.encoder_config, model.decoder_config)
-        before = swapped.store["tok_emb"].data.copy()
-        with pytest.raises(CheckpointError, match="vocabulary differs from the checkpoint's"):
-            init_model_from_checkpoint(swapped, ckpt)
-        assert swapped.store["tok_emb"].data.tobytes() == before.tobytes()
-
-    def test_init_leaves_the_read_arrays_unchanged(self, tmp_path):
+    def test_two_loads_share_no_array(self, tmp_path):
         # a model trains its parameters in place; a second model from the
-        # same read checkpoint must start from the saved values
+        # same checkpoint must start from the saved values
         corpus = overfit_corpus(3)
         model, _ = build_toy_model(corpus=corpus)
-        ckpt = read_checkpoint(save_checkpoint(model, tmp_path / "ckpt"))
-        saved = ckpt.arrays["tok_emb"].copy()
-        first, second = (build_toy_model(corpus=corpus)[0] for _ in range(2))
-        init_model_from_checkpoint(first, ckpt)
-        first.store["tok_emb"].data += 1.0
-        init_model_from_checkpoint(second, ckpt)
-        assert second.store["tok_emb"].data.tobytes() == saved.tobytes()
+        path = save_checkpoint(model, tmp_path / "ckpt")
+        first, second = load_checkpoint(path), load_checkpoint(path)
+        for name, t in first.store.items():
+            assert not np.shares_memory(t.data, second.store[name].data), name
+            t.data += 1.0
+        for name, t in second.store.items():
+            assert t.data.tobytes() == model.store[name].data.tobytes(), name
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
@@ -535,8 +523,10 @@ class TestCheckpoint:
         seq_model, _ = build_toy_model(corpus=corpus, variant="seq")
         path = save_checkpoint(seq_model, tmp_path / "seq_ckpt")
 
-        joint_model, _ = build_toy_model(corpus=corpus, variant="joint")
-        init_model_from_checkpoint(joint_model, read_checkpoint(path))
+        joint_settings = dataclasses.replace(ModelSettings.of(seq_model), variant="joint")
+        joint_model = load_checkpoint(path, joint_settings)
+        assert joint_model.vocab.id_to_token == seq_model.vocab.id_to_token
+        assert ModelSettings.of(joint_model) == joint_settings
         for layer in range(2):
             for name in ("wqs", "wks", "wvs", "wkr", "wvr"):
                 assert np.array_equal(
@@ -553,6 +543,7 @@ class TestCheckpoint:
         corpus = overfit_corpus(3)
         model, _ = build_toy_model(corpus=corpus)
         path = save_checkpoint(model, tmp_path / "ckpt")
-        bigger, _ = build_toy_model(corpus=corpus, d_model=32, d_ff=16)
-        with pytest.raises(CheckpointError):
-            init_model_from_checkpoint(bigger, read_checkpoint(path))
+        bigger = dataclasses.replace(ModelSettings.of(model), d_model=32, d_ff=16)
+        with pytest.raises(CheckpointError,
+                           match=r"shape of 'tok_emb' is \(\d+, 16\), expected \(\d+, 32\)"):
+            load_checkpoint(path, bigger)

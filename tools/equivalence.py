@@ -21,6 +21,13 @@ of the step records and the trained parameters, and one of the checkpoint
 ``save_checkpoint`` writes. Each trained model also goes through save ->
 ``load_checkpoint`` -> save, which must write the same bytes twice.
 
+Through ``cli.main`` it pretrains a toy checkpoint per variant and runs
+``finetune --init`` from it for seq->joint, joint->rel, rel->joint and
+joint->joint (same corpus and training settings, so the structure weights
+that a plainer checkpoint lacks start at zero), and records a SHA-256
+digest of each run's ``log.jsonl`` and of its final ``params.bin`` and
+``manifest.json``.
+
 ``--against`` prints, per input set and overall, how many arrays are bit
 identical, the worst loss difference relative to the loss, the worst
 per-parameter max|grad difference| / max|reference grad|, and how many
@@ -49,7 +56,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from graph2text import autograd, data, objectives, synth, training  # noqa: E402
+from graph2text import autograd, cli, data, objectives, synth, training  # noqa: E402
 from graph2text.decoder import BeamConfig, DecoderConfig  # noqa: E402
 from graph2text.encoder import EncoderConfig  # noqa: E402
 from graph2text.model import build_model  # noqa: E402
@@ -72,6 +79,10 @@ BENCH_SHAPES = {
     "pretrain_webnlg": corpus.Shape(1, 64, (2, 8), (8, 30)),
     "finetune_large_graph": corpus.Shape(1, 64, (16, 24), (40, 63)),
 }
+# (checkpoint variant, fine-tuned variant) of each ``finetune --init`` run
+INIT_RUNS = (("seq", "joint"), ("joint", "rel"), ("rel", "joint"), ("joint", "joint"))
+TOY_SETTINGS = dict(d_model=16, num_heads=2, encoder_layers=2, decoder_layers=2, d_ff=8,
+                    max_input_len=64, max_output_len=10)
 BENCH_ENCODER = dict(num_layers=2, num_heads=4, d_model=64, d_ff=128, max_input_len=600)
 BENCH_DECODER = DecoderConfig(num_layers=2, num_heads=4, d_model=64, d_ff=128, max_output_len=64)
 OT_CONFIG = objectives.OTConfig(beta=1.0, inner_k=1, outer_n=10)
@@ -137,6 +148,41 @@ def record_training(records: dict) -> list[str]:
     return changed
 
 
+def run_cli(*argv: str) -> None:
+    code = cli.main(list(argv))
+    if code != 0:
+        raise SystemExit(f"graph2text {argv[0]} exited {code}")
+
+
+def record_finetune_init(records: dict) -> None:
+    """Record the digests of each ``finetune --init`` run of INIT_RUNS, each
+    from a checkpoint that ``pretrain`` wrote with the same settings."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus_path = tmp / "toy.jsonl"
+        corpus.write_jsonl([
+            {"entities": list(pair.graph.entities), "text": " ".join(pair.text),
+             "triples": [list(triple) for triple in pair.graph.triples()]}
+            for pair in synth.overfit_corpus(TOY_PAIRS)
+        ], corpus_path)
+        for variant in VARIANTS:
+            config = tmp / f"{variant}.json"
+            config.write_text(json.dumps(dict(TOY_SETTINGS, **TRAIN, variant=variant)))
+            run_cli("pretrain", "--config", str(config), "--corpus", str(corpus_path),
+                    "--out", str(tmp / f"pre-{variant}"))
+        for source, target in INIT_RUNS:
+            out = tmp / f"ft-{source}-{target}"
+            run_cli("finetune", "--config", str(tmp / f"{target}.json"),
+                    "--corpus", str(corpus_path),
+                    "--init", str(tmp / f"pre-{source}" / "checkpoints" / "epoch-2"),
+                    "--out", str(out))
+            final = out / "checkpoints" / "epoch-2"
+            for key, path in (("log", out / "log.jsonl"), ("params", final / "params.bin"),
+                              ("manifest", final / "manifest.json")):
+                records[f"finetune-init-{source}-{target}/{key}_digest"] = digest(
+                    path.read_bytes())
+
+
 def record_all() -> tuple[dict[str, np.ndarray], list[str]]:
     records: dict[str, np.ndarray] = {}
     for set_name, model, pairs in input_sets():
@@ -160,6 +206,7 @@ def record_all() -> tuple[dict[str, np.ndarray], list[str]]:
                     records[f"{key}/beam{size}_ids"] = np.asarray(
                         model.generate(inp, beam), dtype=np.int64
                     )
+    record_finetune_init(records)
     return records, record_training(records)
 
 
