@@ -293,13 +293,13 @@ def relation_biased_attention_op(
 ) -> Tensor:
     """The aggregation sublayer ``h + S @ attention(z, r)``, fused into one node.
 
-    ``pools`` holds constants (P, (rows, cols), S): the (|V|+|E|, len) unit
-    mean-pooling matrix, each relation's 0-based head and tail entity, and
-    the (len, |V|) scatter of entities onto their tokens. With z = P[:|V|] @
-    ``ent_rows`` and r = P[|V|:] @ ``rel_rows``, per head: logit(i, j) =
-    (q_i·k_j + [(i, j) in E] q_i·rk_ij)/sqrt(d_k) and output(i) = sum_j p_ij
-    (v_j + [(i, j) in E] rv_ij) for p = softmax_j(logit), q, k, v = z Wqs,
-    z Wks, z Wvs and rk, rv = r Wkr, r Wvr. Head outputs are concatenated.
+    ``pools`` is ``EncoderInput.pools``, the constants (P, (rows, cols), S):
+    the (|V|+|E|, len) unit mean-pooling matrix, each relation's 0-based head
+    and tail entity, and the (len, |V|) entity scatter S = (P[:|V|] > 0).T.
+    With z = P[:|V|] @ ``ent_rows`` and r = P[|V|:] @ ``rel_rows``, per head:
+    logit(i, j) = (q_i·k_j + [(i, j) in E] q_i·rk_ij)/sqrt(d_k), output(i) =
+    sum_j p_ij (v_j + [(i, j) in E] rv_ij) for p = softmax_j(logit), q, k, v =
+    z Wqs, z Wks, z Wvs, rk, rv = r Wkr, r Wvr. Head outputs are concatenated.
     """
     operands = tuple(map(as_tensor, (h, ent_rows, rel_rows, wqs, wks, wvs, wkr, wvr)))
     h, ent_rows, rel_rows, wqs, wks, wvs, wkr, wvr = operands

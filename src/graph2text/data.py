@@ -263,8 +263,15 @@ def _parse_record(line_no: int, record: dict) -> GraphTextPair:
 def load_corpus(path) -> list[GraphTextPair]:
     """Read a JSONL corpus file; one graph-text pair per line, in file order."""
     pairs: list[GraphTextPair] = []
-    with open(path, encoding="utf-8") as fh:
+    # surrogateescape splits lines as strict decoding would, and keeps each
+    # undecodable byte as a lone surrogate for the check below
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                bad = exc.object[exc.start : exc.end].encode("utf-8", "surrogateescape")
+                raise CorpusParseError(line_no, f"bytes {bad!r} are not UTF-8") from None
             if not line.strip():
                 continue
             try:

@@ -13,6 +13,7 @@ tables through the same sublayer instead of token states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +96,11 @@ class EncoderInput:
     def num_entities(self) -> int:
         return len(self.entity_positions)
 
+    @cached_property
+    def pools(self) -> tuple:
+        """``pooling_matrices(self)``, built once on first use."""
+        return pooling_matrices(self)
+
 
 def key_mask(padding) -> np.ndarray | None:
     """The attention ``blocked`` mask of keys with ``padding`` (True = pad)."""
@@ -113,10 +119,11 @@ def sublayer_params(params, norm: str, block: str, names) -> list:
     return [params[f"{norm}.g"], params[f"{norm}.b"]] + [params[f"{block}.{n}"] for n in names]
 
 
-def pooling_matrices(inp: EncoderInput) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The constant (|V|+|E|, len) mean-pooling matrix of the units, one row
-    per unit in ``unit_sequence`` order (entities 1..|V|, then relations in
-    ascending (i, j)), and their edges (i - 1, j - 1) as (rows, cols) index arrays.
+def pooling_matrices(inp: EncoderInput) -> tuple:
+    """The (|V|+|E|, len) mean-pooling matrix P of the units, one row per unit
+    in ``unit_sequence`` order (entities 1..|V|, then relations in ascending
+    (i, j)), their edges (i - 1, j - 1) as (rows, cols) index arrays and the
+    entity scatter S: the ``pools`` of ``relation_biased_attention_op``.
 
     A unit's row carries weight 1/|positions| at each of its positions, so a
     matmul against the hidden states performs the mean pooling (a
@@ -134,17 +141,14 @@ def pooling_matrices(inp: EncoderInput) -> tuple[np.ndarray, tuple[np.ndarray, n
         weight = 1.0 / len(positions)
         for p in positions:
             pool[row, p - 1] = weight
-    return pool, tuple(np.array(relations, dtype=np.int64).reshape(-1, 2).T - 1)
+    edges = tuple(np.array(relations, dtype=np.int64).reshape(-1, 2).T - 1)
+    return pool, edges, scatter_matrix(pool, nv)
 
 
-def scatter_matrix(inp: EncoderInput) -> np.ndarray:
-    """Constant (len, |V|) 0/1 matrix mapping entity vectors onto their
-    token positions."""
-    scatter = np.zeros((len(inp.ids), inp.num_entities))
-    for i, positions in inp.entity_positions.items():
-        for p in positions:
-            scatter[p - 1, i - 1] = 1.0
-    return scatter
+def scatter_matrix(pool: np.ndarray, num_entities: int) -> np.ndarray:
+    """The (len, |V|) 0/1 matrix mapping entity vectors onto their token
+    positions: where an entity's row of ``pool`` is nonzero."""
+    return (pool[:num_entities] > 0).T.astype(np.float64, order="C")
 
 
 def encode(inp: EncoderInput, cfg: EncoderConfig, store: ParamStore) -> Tensor:
@@ -156,12 +160,9 @@ def encode(inp: EncoderInput, cfg: EncoderConfig, store: ParamStore) -> Tensor:
     x = add(embedding_lookup(store["tok_emb"], ids), slice_view(store["enc.pos_emb"], slice(0, length)))
 
     aggregate = cfg.variant != VARIANT_SEQ
-    if aggregate:
-        # per-input constants, shared by every layer
-        pools = (*pooling_matrices(inp), scatter_matrix(inp))
-        if cfg.variant == VARIANT_REL:
-            # the units pool rows of the learned tables instead of token states
-            table_rows = [embedding_lookup(store[n], ids) for n in ("struct.ent_emb", "struct.rel_emb")]
+    if cfg.variant == VARIANT_REL:
+        # the units pool rows of the learned tables instead of token states
+        table_rows = [embedding_lookup(store[n], ids) for n in ("struct.ent_emb", "struct.rel_emb")]
 
     blocked = key_mask(inp.padding)
     for layer in range(cfg.num_layers):
@@ -173,7 +174,7 @@ def encode(inp: EncoderInput, cfg: EncoderConfig, store: ParamStore) -> Tensor:
         if aggregate:
             unit_rows = table_rows if cfg.variant == VARIANT_REL else (h, h)
             h = relation_biased_attention_op(
-                h, *unit_rows, pools, *(store[f"{p}.agg.{n}"] for n in AGG_WEIGHT_NAMES),
+                h, *unit_rows, inp.pools, *(store[f"{p}.agg.{n}"] for n in AGG_WEIGHT_NAMES),
                 cfg.num_heads,
             )
         x = ffn_op(h, *sublayer_params(store, f"{p}.ln2", f"{p}.ffn", FFN_WEIGHTS))

@@ -185,7 +185,7 @@ def alignment_embeddings(model: Seq2SeqModel, pair: GraphTextPair) -> tuple[Tens
     """Pooled unit vectors from the encoder and per-token decoder vectors.
 
     The encoder sees only the linearized graph; its states pooled by the
-    rows of ``pooling_matrices`` are the graph atoms, in ``unit_sequence``
+    rows of P (``inp.pools[0]``) are the graph atoms, in ``unit_sequence``
     order. The decoder is teacher-forced on the text, and only the states
     for the text tokens themselves (not the end marker) become transport
     atoms.
@@ -193,8 +193,7 @@ def alignment_embeddings(model: Seq2SeqModel, pair: GraphTextPair) -> tuple[Tens
     lin = linearize(pair.graph)
     inp = model.encoder_input(lin)
     enc_states = model.encode(inp)
-    pool, _ = encoder.pooling_matrices(inp)
-    graph_vectors = matmul(Tensor(pool), enc_states)
+    graph_vectors = matmul(Tensor(inp.pools[0]), enc_states)
     targets = model.target_ids(pair.text)
     dec_states = teacher_forced_states(
         targets, enc_states, model.store, model.decoder_config, inp.padding

@@ -277,10 +277,10 @@ def _read_params(path: Path, manifest: dict, table) -> dict[str, np.ndarray]:
         if not isinstance(entry, dict) or "name" not in entry or "shape" not in entry:
             raise CheckpointError(f"manifest params entry {entry!r} lacks a name or a shape")
         name, shape = entry["name"], entry["shape"]
-        if not isinstance(name, str):
-            raise CheckpointError(f"parameter name {name!r} is not a string")
-        if name in arrays:
-            raise CheckpointError(f"parameter {name!r} appears twice in the manifest")
+        want, expected = next(table, (None, None))
+        if name != want:
+            implied = "no more parameters" if want is None else repr(want)
+            raise CheckpointError(f"manifest lists {name!r} where the settings imply {implied}")
         if entry.get("dtype") != "f64":
             raise CheckpointError(f"unsupported dtype {entry.get('dtype')!r}")
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
@@ -288,10 +288,6 @@ def _read_params(path: Path, manifest: dict, table) -> dict[str, np.ndarray]:
         size = math.prod(shape)  # exact: np.prod wraps at int64
         if offset + size > raw.size:
             raise CheckpointError("parameter file is truncated")
-        want, expected = next(table, (None, None))
-        if name != want:
-            implied = "no more parameters" if want is None else repr(want)
-            raise CheckpointError(f"manifest lists {name!r} where the settings imply {implied}")
         if tuple(shape) != expected:
             raise CheckpointError(f"shape of {name!r} is {tuple(shape)}, expected {expected}")
         arrays[name] = raw[offset : offset + size].reshape(shape).astype(np.float64)

@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from graph2text.autograd import Tensor, add, backward, embedding_lookup, matmul, scale
 from graph2text.data import GraphTextPair, KnowledgeGraph, find_entity_mentions
+from graph2text.encoder import EncoderInput
 
 
 def make_pair(entities, relations, text: str) -> GraphTextPair:
@@ -24,6 +25,17 @@ def three_position_pair() -> GraphTextPair:
         ("ada lovelace king", "bo", "cy dee"),
         {(1, 2): "likes a lot", (2, 3): "visits", (3, 1): "is near"},
         "ada lovelace king likes a lot bo who visits cy dee",
+    )
+
+
+def pool_input(entity_1=frozenset({3}), entity_2=frozenset({1, 2})) -> EncoderInput:
+    """Four graph tokens: entity 1 at position 3, entity 2 at positions 1
+    and 2, and the relation (2, 1) at position 4 (by default)."""
+    return EncoderInput(
+        ids=(5, 6, 7, 8),
+        graph_len=4,
+        entity_positions={1: entity_1, 2: entity_2},
+        relation_positions={(2, 1): frozenset({4})},
     )
 
 

@@ -15,7 +15,7 @@ from graph2text.autograd import Tensor, add, grad_check, matmul, no_grad
 from graph2text.cli import main as cli_main
 from graph2text.data import linearize
 from graph2text.decoder import BeamConfig
-from graph2text.encoder import EncoderConfig, encode, pooling_matrices, scatter_matrix
+from graph2text.encoder import EncoderConfig, encode
 from graph2text.metrics import corpus_bleu, lcs_length, rouge_l
 from graph2text.objectives import OTConfig, frozen_losses, ipot, uniform_marginals
 from graph2text.synth import build_toy_model, overfit_corpus
@@ -80,8 +80,8 @@ def test_criterion_3_structure_module_identities():
     inp = model.encoder_input(linearize(corpus[0].graph), corpus[0].text)
     rng = np.random.default_rng(0)
     h = Tensor(rng.normal(size=(len(inp.ids), 16)))
-    scatter = Tensor(scatter_matrix(inp))
-    fused = add(h, matmul(scatter, Tensor(rng.normal(size=(3, 16)))))
+    pool, _, scatter = inp.pools
+    fused = add(h, matmul(Tensor(scatter), Tensor(rng.normal(size=(3, 16)))))
     entity_rows = {p - 1 for s in inp.entity_positions.values() for p in s}
     passthrough = all(
         np.array_equal(fused.data[r], h.data[r])
@@ -106,8 +106,7 @@ def test_criterion_3_structure_module_identities():
         zero_equiv = zero_equiv and np.array_equal(joint_out.data, seq_out.data)
 
     # (c) single-position pooling copies the row
-    p_ent, _ = pooling_matrices(inp)
-    z = matmul(Tensor(p_ent), h)
+    z = matmul(Tensor(pool), h)
     single = np.array_equal(z.data[0], h.data[next(iter(inp.entity_positions[1])) - 1])
 
     ok = passthrough and zero_equiv and single

@@ -6,13 +6,12 @@ import pytest
 
 from graph2text import autograd as ag
 from graph2text.autograd import ParamStore, Tensor, backward, grad_check, no_grad
-from graph2text.encoder import EncoderInput, pooling_matrices
 from graph2text.errors import EmptyPoolError, ShapeError, UsageError
 from graph2text.objectives import combined_pretrain_loss, loss_finetune
 from graph2text.synth import build_toy_model, overfit_corpus
 from graph2text.training import clip_gradients
 
-from conftest import assert_gradient_gate, identity_pools, store_gradients
+from conftest import assert_gradient_gate, identity_pools, pool_input, store_gradients
 
 
 def check_scalar_fn(build, arrays, tol=1e-6, eps=1e-6):
@@ -274,41 +273,28 @@ class TestFixedPointExamples:
         assert abs(loss.item() - math.log(16)) < 1e-12
 
 
-def pool_input(entity_1=frozenset({3}), entity_2=frozenset({1, 2})) -> EncoderInput:
-    """Four graph tokens: entity 1 at position 3, entity 2 at positions 1
-    and 2, and the relation (2, 1) at position 4 (by default)."""
-    return EncoderInput(
-        ids=(5, 6, 7, 8),
-        graph_len=4,
-        entity_positions={1: entity_1, 2: entity_2},
-        relation_positions={(2, 1): frozenset({4})},
-    )
-
-
 class TestIndexMeanPool:
     """Mean pooling over position sets, as a matmul with the encoder's
     pooling matrices."""
 
     def test_single_position_exact_copy(self):
         h = Tensor(np.arange(12.0).reshape(4, 3))
-        pool, _ = pooling_matrices(pool_input())
-        out = ag.matmul(Tensor(pool), h)
+        out = ag.matmul(Tensor(pool_input().pools[0]), h)
         assert np.array_equal(out.data[0], h.data[2])
 
     def test_two_equal_rows(self):
         h = Tensor(np.array([[1.0, 2.0], [1.0, 2.0], [9.0, 9.0], [5.0, 5.0]]))
-        pool, _ = pooling_matrices(pool_input())
-        out = ag.matmul(Tensor(pool), h)
+        out = ag.matmul(Tensor(pool_input().pools[0]), h)
         assert np.array_equal(out.data[1], np.array([1.0, 2.0]))
 
     def test_empty_positions(self):
         with pytest.raises(EmptyPoolError):
-            pooling_matrices(pool_input(entity_1=frozenset()))
+            pool_input(entity_1=frozenset()).pools
 
     def test_gradient(self):
         rng = np.random.default_rng(5)
         w = rng.normal(size=(2, 3))
-        pool, _ = pooling_matrices(pool_input(entity_1=frozenset({1, 3, 4})))
+        pool = pool_input(entity_1=frozenset({1, 3, 4})).pools[0]
         check_scalar_fn(
             lambda s: ag.weighted_sum(ag.matmul(Tensor(pool[:2]), s["h"]), w),
             {"h": rng.normal(size=(4, 3))},

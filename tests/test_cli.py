@@ -348,7 +348,8 @@ class TestFinetuneAndGenerate:
         code = main(["generate", "--ckpt", str(ckpt), "--input", str(corpus_file),
                      "--out", str(tmp_path / "hyp.txt")])
         assert code == 1
-        assert "is not a string" in capsys.readouterr().err
+        assert ("manifest lists ['tok_emb'] where the settings imply 'tok_emb'"
+                in capsys.readouterr().err)
 
     def test_seq_checkpoint_into_joint_config(self, tmp_path, corpus_file):
         seq_cfg = write_config(tmp_path / "seq.json", variant="seq")
@@ -712,6 +713,25 @@ class TestCorpusMutations:
             assert main(argv) == 1, argv[0]
             err = capsys.readouterr().err
             assert err == "error: line 2: string holds '\\ud800', which UTF-8 cannot encode\n", err
+            assert not (tmp_path / "out").exists(), argv[0]
+
+    @pytest.mark.parametrize("second_line", [
+        b"\xff" + json.dumps(ONE_PAIR).encode(),
+        json.dumps(ONE_PAIR).encode().replace(b'"bo"', b'"bo\xff"'),
+    ], ids=["before-record", "inside-string"])
+    def test_bytes_not_utf8_rejected_at_load(self, d8_dir, tmp_path, capsys, second_line):
+        corpus = tmp_path / "not-utf8.jsonl"
+        corpus.write_bytes(json.dumps(ONE_PAIR).encode() + b"\n" + second_line + b"\n")
+        ckpt = d8_dir / "pre" / "checkpoints" / "epoch-1"
+        for argv in (["linearize", "--corpus", str(corpus)],
+                     ["pretrain", "--config", str(d8_dir / "small.json"), "--corpus", str(corpus),
+                      "--out", str(tmp_path / "out")],
+                     ["generate", "--ckpt", str(ckpt), "--input", str(corpus),
+                      "--out", str(tmp_path / "out")]):
+            capsys.readouterr()
+            assert main(argv) == 1, argv[0]
+            err = capsys.readouterr().err
+            assert err == "error: line 2: bytes b'\\xff' are not UTF-8\n", err
             assert not (tmp_path / "out").exists(), argv[0]
 
 

@@ -132,6 +132,9 @@ class TestMentions:
         assert mentions == {1: frozenset({1, 3})}
 
 
+GOOD_RECORD = {"entities": ["a", "b"], "triples": [[1, "r", 2]], "text": "a r b"}
+
+
 class TestLoadCorpus:
     def _write(self, tmp_path, records):
         path = tmp_path / "corpus.jsonl"
@@ -242,6 +245,19 @@ class TestLoadCorpus:
         assert "\\ud" in json.dumps(bad)  # ASCII on disk: only the loaded string is bad
         with pytest.raises(CorpusParseError, match="UTF-8 cannot encode") as err:
             load_corpus(self._write(tmp_path, [good, bad]))
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("second_line", [
+        b"\xff" + json.dumps(GOOD_RECORD).encode(),
+        json.dumps(GOOD_RECORD).encode().replace(b'"a"', b'"a\xff"'),
+    ], ids=["before-record", "inside-string"])
+    def test_bytes_not_utf8_name_line(self, tmp_path, second_line):
+        # the raw line is checked first, so a byte inside a JSON string is not
+        # reported as the lone surrogate that surrogateescape decodes it to
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(json.dumps(GOOD_RECORD).encode() + b"\n" + second_line + b"\n")
+        with pytest.raises(CorpusParseError, match=r"bytes b'\\xff' are not UTF-8") as err:
+            load_corpus(path)
         assert err.value.line_no == 2
 
     def test_astral_character_from_surrogate_pair_loads(self, tmp_path):

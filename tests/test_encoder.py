@@ -24,17 +24,17 @@ from graph2text.encoder import (
     EncoderInput,
     encode,
     key_mask,
-    pooling_matrices,
-    scatter_matrix,
     sublayer_params,
 )
 from graph2text.errors import EmptyPoolError, LengthError
+from graph2text.objectives import loss_finetune, loss_ot_alignment
 from graph2text.synth import build_toy_model, overfit_corpus
 
 from conftest import (
     assert_gradient_gate,
     identity_pools,
     make_pair,
+    pool_input,
     rows_at,
     store_gradients,
     three_position_pair,
@@ -50,7 +50,7 @@ def pooled(h: Tensor, inp: EncoderInput) -> tuple[Tensor, Tensor]:
     """Entity and relation vectors as the aggregation sublayer pools them:
     z = P[:|V|] @ h and r = P[|V|:] @ h, one row of r per edge, whose 0-based
     (head, tail) index arrays follow the relations in ascending (i, j)."""
-    pool, (rows, cols) = pooling_matrices(inp)
+    pool, (rows, cols), _ = inp.pools
     nv = inp.num_entities
     relations = sorted(inp.relation_positions)
     assert rows.tolist() == [i - 1 for i, _ in relations]
@@ -68,15 +68,20 @@ def attention_core(z, q_grid, *weights_and_heads) -> Tensor:
     )
 
 
-def encode_pools(inp: EncoderInput) -> tuple:
-    """The pools ``encode`` passes for ``inp``: P, grid rows and S."""
-    return (*pooling_matrices(inp), scatter_matrix(inp))
-
-
 def entity_pools(inp: EncoderInput) -> tuple:
-    """``inp``'s P and grid rows with S = I: with h = 0 the op returns the
+    """``inp``'s P and edges with S = I: with h = 0 the op returns the
     attention output of each entity."""
-    return (*pooling_matrices(inp), np.eye(inp.num_entities))
+    return (*inp.pools[:2], np.eye(inp.num_entities))
+
+
+def scatter_reference(inp: EncoderInput) -> np.ndarray:
+    """S built position by position from the entity map: row p - 1 of
+    column i - 1 is 1 for each position p of entity i."""
+    scatter = np.zeros((len(inp.ids), inp.num_entities))
+    for i, positions in inp.entity_positions.items():
+        for p in positions:
+            scatter[p - 1, i - 1] = 1.0
+    return scatter
 
 
 @pytest.fixture
@@ -175,7 +180,7 @@ class TestPooling:
         model, inp = model_and_input
         h = Tensor(np.random.default_rng(4).normal(size=(len(inp.ids), 16)))
         _, r = pooled(h, inp)
-        _, edges = pooling_matrices(inp)
+        _, edges, _ = inp.pools
         pairs = list(zip(*(e.tolist() for e in edges)))
         assert pairs == [(0, 1), (1, 2)]  # no (1,1) self-loop
         assert r.shape == (2, 16)
@@ -198,14 +203,14 @@ class TestPooling:
         object.__setattr__(bad, "relation_positions", inp.relation_positions)
         object.__setattr__(bad, "padding", None)
         with pytest.raises(EmptyPoolError):
-            pooling_matrices(bad)
+            bad.pools
 
     def test_rows_follow_unit_sequence(self, two_triple_pair):
         model, _ = build_toy_model()
         for pair in [two_triple_pair, three_position_pair()] + overfit_corpus(20):
             lin = linearize(pair.graph)
             inp = model.encoder_input(lin, pair.text)
-            pool, (rows, cols) = pooling_matrices(inp)
+            pool, (rows, cols), _ = inp.pools
             units = unit_sequence(pair.graph)
             assert pool.shape == (len(units), len(inp.ids))
             for row, (kind, key) in zip(pool, units):
@@ -218,6 +223,55 @@ class TestPooling:
             assert rows.tolist() == [i - 1 for i, _ in relations]
             assert cols.tolist() == [j - 1 for _, j in relations]
             assert rows.dtype == cols.dtype == np.int64
+
+    def test_scatter_read_off_pool(self):
+        # S is (P[:|V|] > 0).T, exactly the position-by-position scatter,
+        # also where two entities share a position
+        model, corpus = build_toy_model()
+        pairs = corpus + overfit_corpus(20) + [three_position_pair()]
+        inputs = [toy_input(model, pair, pair.text) for pair in pairs]
+        for inp in inputs + [pool_input(entity_1=frozenset({1, 3, 4}))]:
+            scatter = inp.pools[2]
+            assert scatter.dtype == np.float64
+            assert np.array_equal(scatter, scatter_reference(inp))
+
+
+class TestPoolsBuiltOnce:
+    """``EncoderInput.pools`` calls ``pooling_matrices`` once per input,
+    whoever reads it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = encoder.pooling_matrices
+
+        def spy(inp):
+            calls.append(inp)
+            return original(inp)
+
+        monkeypatch.setattr(encoder, "pooling_matrices", spy)
+        return calls
+
+    def test_ot_alignment_pools_once(self, calls):
+        model, corpus = build_toy_model()
+        loss_ot_alignment(model, corpus[0])
+        assert len(calls) == 1
+
+    def test_second_encode_reuses_pools(self, calls):
+        model, corpus = build_toy_model()
+        inp = toy_input(model, corpus[0], corpus[0].text)
+        with no_grad():
+            first = encode(inp, model.encoder_config, model.store)
+            second = encode(inp, model.encoder_config, model.store)
+        assert calls == [inp]
+        assert np.array_equal(first.data, second.data)
+
+    def test_seq_variant_never_pools(self, calls):
+        model, corpus = build_toy_model(variant="seq")
+        with no_grad():
+            encode(toy_input(model, corpus[0], corpus[0].text), model.encoder_config, model.store)
+            loss_finetune(model, corpus[0])
+        assert calls == []
 
 
 def layer_zero_agg(model) -> list:
@@ -392,7 +446,7 @@ class TestEdgeFormMatchesGrid:
         pair = make_pair(entities, relations, " ".join(entities))
         model, _ = build_toy_model(corpus=[pair], variant=variant, max_input_len=200)
         inp = toy_input(model, pair, pair.text)
-        pools = encode_pools(inp)
+        pools = inp.pools
         store = ParamStore()
         store.add("h", rng.normal(size=(len(inp.ids), 16)))
         if variant == "rel":
@@ -429,7 +483,7 @@ class TestResidualFuse:
         model, inp = model_and_input
         rng = np.random.default_rng(9)
         h = Tensor(rng.normal(size=(len(inp.ids), 16)))
-        out = relation_biased_attention_op(h, h, h, encode_pools(inp), *layer_zero_agg(model), 2)
+        out = relation_biased_attention_op(h, h, h, inp.pools, *layer_zero_agg(model), 2)
         entity_rows = {p - 1 for s in inp.entity_positions.values() for p in s}
         for row in range(len(inp.ids)):
             if row not in entity_rows:
@@ -442,7 +496,7 @@ class TestResidualFuse:
         model.store["enc.0.agg.wvs"].data[:] = 0.0
         model.store["enc.0.agg.wvr"].data[:] = 0.0
         h = Tensor(np.random.default_rng(10).normal(size=(len(inp.ids), 16)))
-        out = relation_biased_attention_op(h, h, h, encode_pools(inp), *layer_zero_agg(model), 2)
+        out = relation_biased_attention_op(h, h, h, inp.pools, *layer_zero_agg(model), 2)
         assert np.array_equal(out.data, h.data)
 
     def test_multi_position_entity_gets_same_vector(self, model_and_input):
@@ -450,7 +504,7 @@ class TestResidualFuse:
         h = Tensor(np.zeros((len(inp.ids), 16)))
         unit_rows = Tensor(np.random.default_rng(11).normal(size=(len(inp.ids), 16)))
         weights = layer_zero_agg(model)
-        out = relation_biased_attention_op(h, unit_rows, unit_rows, encode_pools(inp), *weights, 2)
+        out = relation_biased_attention_op(h, unit_rows, unit_rows, inp.pools, *weights, 2)
         z_tilde = relation_biased_attention_op(
             np.zeros((3, 16)), unit_rows, unit_rows, entity_pools(inp), *weights, 2
         )
@@ -481,12 +535,12 @@ class TestAggregationSublayer:
             store.add(name, rng.normal(size=(16, 16)) * 0.3)
         weights = [store[n] for n in AGG_WEIGHT_NAMES]
         readout = rng.normal(size=(length, 16))
-        scatter = scatter_matrix(inp)
+        scatter = scatter_reference(inp)
         outputs = []
 
         def build():
             h = store["h"]
-            outputs.append(relation_biased_attention_op(h, h, h, encode_pools(inp), *weights, 2))
+            outputs.append(relation_biased_attention_op(h, h, h, inp.pools, *weights, 2))
             return weighted_sum(outputs[-1], readout)
 
         def build_reference():
