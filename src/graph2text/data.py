@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import CorpusParseError, GraphHasNoTriples
 
@@ -25,18 +27,23 @@ class KnowledgeGraph:
     ``relations[(i, j)]`` is the surface string of the relation from entity i
     to entity j. Self-loops are allowed. Every entity must take part in at
     least one triple, otherwise it could never receive a position in the
-    linearized sequence.
+    linearized sequence. A graph is immutable after construction
+    (``relations`` is a read-only mapping), so its linearization is built
+    once, on first use, and cached.
     """
 
     entities: tuple[str, ...]
-    relations: dict[tuple[int, int], str] = field(compare=False)
+    relations: MappingProxyType[tuple[int, int], str] = field(compare=False)
 
     def __init__(self, entities, relations):
         object.__setattr__(self, "entities", tuple(entities))
-        object.__setattr__(
-            self, "relations", {(int(i), int(j)): r for (i, j), r in dict(relations).items()}
-        )
+        relations = {(int(i), int(j)): r for (i, j), r in dict(relations).items()}
+        object.__setattr__(self, "relations", MappingProxyType(relations))
         self._validate()
+
+    def __reduce__(self):
+        # a read-only mapping cannot be pickled or deep-copied; rebuild instead
+        return KnowledgeGraph, (self.entities, dict(self.relations))
 
     def _validate(self):
         if not self.entities:
@@ -69,6 +76,44 @@ class KnowledgeGraph:
     def triples(self) -> list[tuple[int, str, int]]:
         """All (head, relation, tail) triples in ascending (i, j) order."""
         return [(i, self.relations[(i, j)], j) for (i, j) in sorted(self.relations)]
+
+    def triple_blocks(self):
+        """Yield ``(marker, unit, tokens)`` for each block the triples emit,
+        in linearization order: per triple in (i, j) order, ``<H>`` and head
+        entity i, ``<R>`` and relation (i, j), ``<T>`` and tail entity j.
+        ``tokens`` is the unit's surface split on whitespace."""
+        surfaces = [e.split() for e in self.entities]
+        for i, rel, j in self.triples():
+            yield HEAD_MARKER, i, surfaces[i - 1]
+            yield RELATION_MARKER, (i, j), rel.split()
+            yield TAIL_MARKER, j, surfaces[j - 1]
+
+    @cached_property
+    def linearized(self) -> LinearizedGraph:
+        """``<H> head <R> relation <T> tail`` per triple in (i, j) order,
+        built once on first use.
+
+        Entities occurring in several triples are re-emitted each time; their
+        position set is the union over all occurrences.
+        """
+        if not self.relations:
+            raise GraphHasNoTriples("graph has no triples")
+        tokens: list[str] = []
+        ent_pos: dict[int, set[int]] = {}
+        rel_pos: dict[tuple[int, int], set[int]] = {}
+        for marker, unit, surface in self.triple_blocks():
+            tokens.append(marker)
+            positions = range(len(tokens) + 1, len(tokens) + len(surface) + 1)
+            tokens.extend(surface)
+            if marker == RELATION_MARKER:
+                rel_pos[unit] = set(positions)
+            else:
+                ent_pos.setdefault(unit, set()).update(positions)
+        return LinearizedGraph(
+            tokens=tuple(tokens),
+            entity_positions={i: frozenset(p) for i, p in ent_pos.items()},
+            relation_positions={k: frozenset(p) for k, p in rel_pos.items()},
+        )
 
 
 @dataclass(frozen=True)
@@ -135,37 +180,9 @@ class GraphTextPair:
 
 
 def linearize(graph: KnowledgeGraph) -> LinearizedGraph:
-    """Emit ``<H> head <R> relation <T> tail`` per triple in (i, j) order.
-
-    Entities occurring in several triples are re-emitted each time; their
-    position set is the union over all occurrences.
-    """
-    if not graph.relations:
-        raise GraphHasNoTriples("graph has no triples")
-    tokens: list[str] = []
-    ent_pos: dict[int, set[int]] = {}
-    rel_pos: dict[tuple[int, int], set[int]] = {}
-
-    def emit_unit(surface: str) -> set[int]:
-        positions = set()
-        for tok in surface.split():
-            tokens.append(tok)
-            positions.add(len(tokens))
-        return positions
-
-    for i, rel, j in graph.triples():
-        tokens.append(HEAD_MARKER)
-        ent_pos.setdefault(i, set()).update(emit_unit(graph.entities[i - 1]))
-        tokens.append(RELATION_MARKER)
-        rel_pos[(i, j)] = emit_unit(rel)
-        tokens.append(TAIL_MARKER)
-        ent_pos.setdefault(j, set()).update(emit_unit(graph.entities[j - 1]))
-
-    return LinearizedGraph(
-        tokens=tuple(tokens),
-        entity_positions={i: frozenset(p) for i, p in ent_pos.items()},
-        relation_positions={k: frozenset(p) for k, p in rel_pos.items()},
-    )
+    """The graph's linearization, ``graph.linearized``: computed on the first
+    call for a graph and returned as the same object on every later one."""
+    return graph.linearized
 
 
 Unit = tuple[str, "int | tuple[int, int]"]
@@ -183,14 +200,23 @@ def unit_sequence(graph: KnowledgeGraph) -> list[Unit]:
 
 
 def find_entity_mentions(entities: tuple[str, ...], text: tuple[str, ...]) -> dict[int, frozenset[int]]:
-    """Exact case-folded token-sequence matches of each entity in the text."""
+    """Exact case-folded token-sequence matches of each entity in the text.
+
+    The text's token positions are indexed once; each entity is compared
+    only at the starts where its first token occurs.
+    """
     folded_text = [t.casefold() for t in text]
+    starts: dict[str, list[int]] = {}
+    for start, tok in enumerate(folded_text):
+        starts.setdefault(tok, []).append(start)
     mentions: dict[int, frozenset[int]] = {}
     for i, ent in enumerate(entities, start=1):
         ent_toks = [t.casefold() for t in ent.split()]
+        if not ent_toks:  # an empty surface matches nowhere
+            continue
         width = len(ent_toks)
         hits: set[int] = set()
-        for start in range(len(folded_text) - width + 1):
+        for start in starts.get(ent_toks[0], ()):
             if folded_text[start : start + width] == ent_toks:
                 hits.update(range(start + 1, start + width + 1))
         if hits:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,14 +174,43 @@ def parameter_shapes(encoder_config: EncoderConfig, decoder_config: DecoderConfi
     yield from norm("dec.final_ln")
 
 
+def parameter_count(encoder_config: EncoderConfig, decoder_config: DecoderConfig,
+                    vocab_size: int) -> int:
+    """The number of values in the parameter table, in closed form: every
+    layer of a stack has the same shapes, so the table is a one-layer
+    model's plus, per stack, its extra layers times one layer's size. It
+    walks three one- or two-layer tables, whatever the layer counts."""
+
+    def size(encoder_layers, decoder_layers):
+        enc = dataclasses.replace(encoder_config, num_layers=encoder_layers)
+        dec = dataclasses.replace(decoder_config, num_layers=decoder_layers)
+        return sum(math.prod(shape) for _, shape in parameter_shapes(enc, dec, vocab_size))
+
+    base = size(1, 1)
+    return (base + (encoder_config.num_layers - 1) * (size(2, 1) - base)
+            + (decoder_config.num_layers - 1) * (size(1, 2) - base))
+
+
 def build_model(
     vocab: Vocabulary,
     encoder_config: EncoderConfig,
     decoder_config: DecoderConfig,
     seed: int = 0,
 ) -> Seq2SeqModel:
+    """A model with freshly drawn parameters. A table larger than physical
+    memory raises ``MemoryError`` before anything is allocated."""
     if encoder_config.d_model != decoder_config.d_model:
         raise ValueError("encoder and decoder must share d_model")
+    nbytes = 8 * parameter_count(encoder_config, decoder_config, len(vocab))
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # the platform does not say
+        memory = None
+    if memory is not None and nbytes > memory:
+        raise MemoryError(
+            f"Unable to allocate {nbytes} bytes for the model's parameters: "
+            f"physical memory is {memory} bytes"
+        )
     rng = np.random.default_rng(seed)
     store = ParamStore()
     for name, shape in parameter_shapes(encoder_config, decoder_config, len(vocab)):

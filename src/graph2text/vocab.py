@@ -10,7 +10,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .data import GraphTextPair, LinearizedGraph, linearize
+from .data import GraphTextPair, LinearizedGraph
 from .errors import EmptyCorpus
 
 PAD, BOS, EOS, UNK = "<PAD>", "<BOS>", "<EOS>", "<UNK>"
@@ -63,18 +63,21 @@ class Vocabulary:
 
 
 def build_vocab(corpus: list[GraphTextPair], min_freq: int = 1) -> Vocabulary:
-    """Count tokens of linearized graphs and texts; keep those with
-    frequency >= min_freq, ordered by frequency desc then lexicographic."""
+    """Count the tokens of linearized graphs and texts; keep those with
+    frequency >= min_freq, ordered by frequency desc then lexicographic.
+
+    A graph's tokens are counted from its triples' blocks, which are its
+    linearization without the markers, so no linearization is built here.
+    """
     if not corpus:
         raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
     counts: Counter[str] = Counter()
     for pair in corpus:
-        for tok in linearize(pair.graph).tokens:
-            if tok not in SPECIALS:
-                counts[tok] += 1
-        for tok in pair.text:
-            if tok not in SPECIALS:
-                counts[tok] += 1
+        for _, _, tokens in pair.graph.triple_blocks():
+            counts.update(tokens)
+        counts.update(pair.text)
+    for special in SPECIALS:
+        counts.pop(special, None)
     kept = sorted((t for t, c in counts.items() if c >= min_freq), key=lambda t: (-counts[t], t))
     return Vocabulary(list(SPECIALS) + kept)
 

@@ -17,6 +17,21 @@ def make_pair(entities, relations, text: str) -> GraphTextPair:
     return GraphTextPair(graph, tokens, find_entity_mentions(graph.entities, tokens))
 
 
+def random_graph(rng):
+    """Entities and relations of a random graph with multi-token surfaces,
+    self-loops and shared words; every entity is in some triple."""
+    words = ["ann", "bo", "cy", "of", "the"]
+    n = rng.randint(1, 7)
+    entities = [" ".join(rng.choice(words) for _ in range(rng.randint(1, 3))) for _ in range(n)]
+    relations = {}
+    for _ in range(rng.randint(1, 2 * n)):
+        key = (rng.randint(1, n), rng.randint(1, n))
+        relations[key] = " ".join(rng.choice(words) for _ in range(rng.randint(1, 3)))
+    linked = {i for key in relations for i in key}
+    relations.update({(i, i): "self" for i in range(1, n + 1) if i not in linked})
+    return entities, relations
+
+
 def three_position_pair() -> GraphTextPair:
     """A graph whose first entity (three tokens, emitted twice) and first
     relation (three tokens) pool 6 and 3 positions: weights that are not

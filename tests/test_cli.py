@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import pytest
 from graph2text import cli, training
 from graph2text.autograd import GradCheckReport
 from graph2text.cli import RunConfig, main
-from graph2text.data import load_corpus
+from graph2text.data import KnowledgeGraph, load_corpus
 from graph2text.errors import CheckpointError
 from graph2text.model import ModelSettings, Seq2SeqModel, build_model
 from graph2text.objectives import frozen_losses
@@ -629,6 +632,67 @@ class TestConfigBeyondMemory:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
         assert not (tmp_path / "out").exists()
+
+
+# Runs ``main(argv)`` under a 2 GiB address-space cap and prints its exit
+# code and wall time: a regression that walks a 2**40-layer table then fails
+# fast at the cap instead of exhausting the host.
+CAPPED_MAIN = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2**31, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from graph2text.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "seconds": time.perf_counter() - start}))
+"""
+
+
+class TestLayerCountBeyondMemory:
+    """``pretrain`` and ``gradcheck`` size the parameter table in closed form
+    before they allocate it, so 2**40 layers exit 1 at once."""
+
+    @pytest.mark.parametrize("key", ["encoder_layers", "decoder_layers"])
+    @pytest.mark.parametrize("command", ["pretrain", "gradcheck"])
+    def test_exits_1_at_once_and_writes_nothing(self, d8_dir, tmp_path, command, key):
+        pytest.importorskip("resource")
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps(dict(D8_CONFIG, **{key: 2**40})))
+        argv = [command, "--config", str(cfg)]
+        if command == "pretrain":
+            argv += ["--corpus", str(d8_dir / "one.jsonl"), "--out", str(tmp_path / "out")]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv], capture_output=True,
+                             text=True, env=env, timeout=60)
+        result = json.loads(run.stdout.splitlines()[-1])
+        assert result["code"] == 1, run.stderr
+        assert run.stderr.startswith("error: Unable to allocate "), run.stderr
+        assert "for the model's parameters" in run.stderr
+        assert result["seconds"] < 1.0, result
+        assert not (tmp_path / "out").exists()
+
+
+class TestLinearizedOnce:
+    def test_pretrain_linearizes_each_graph_once(self, tmp_path, monkeypatch):
+        """Over a 2-epoch ``pretrain`` run (length check, three losses per
+        pair and step), each graph's linearization is built once."""
+        built = []
+        prop = KnowledgeGraph.__dict__["linearized"]
+        original = prop.func
+
+        def counting(graph):
+            built.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(prop, "func", counting)  # the function behind the real cache
+        corpus = tmp_path / "three.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in CORPUS_RECORDS + [ONE_PAIR]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(D8_CONFIG, epochs=2, batch_size=2)))
+        assert main(["pretrain", "--config", str(config), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == 3
+        assert len({id(graph) for graph in built}) == 3
 
 
 CORPUS_RECORDS = [

@@ -1,4 +1,8 @@
+import copy
 import json
+import pickle
+import random
+from types import MappingProxyType
 
 import pytest
 
@@ -12,7 +16,7 @@ from graph2text.data import (
 )
 from graph2text.errors import CorpusParseError, GraphHasNoTriples
 
-from conftest import make_pair
+from conftest import make_pair, random_graph
 
 
 class TestKnowledgeGraph:
@@ -96,6 +100,48 @@ class TestLinearize:
             assert set(lin.entity_positions) == set(range(1, pair.graph.num_entities + 1))
             assert set(lin.relation_positions) == set(pair.graph.relations)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cached_and_equal_to_a_fresh_build(self, seed):
+        entities, relations = random_graph(random.Random(seed))
+        graph = KnowledgeGraph(entities, relations)
+        lin = linearize(graph)
+        assert linearize(graph) is lin
+        assert graph.linearized is lin
+        fresh = linearize(KnowledgeGraph(entities, relations))
+        assert fresh is not lin
+        assert fresh == lin
+        assert (lin.tokens, lin.entity_positions, lin.relation_positions) == reference_linearize(
+            entities, relations)
+
+
+class TestGraphImmutable:
+    def test_relations_reject_item_assignment(self):
+        graph = KnowledgeGraph(("a", "b"), {(1, 2): "r"})
+        with pytest.raises(TypeError):
+            graph.relations[(1, 2)] = "s"
+        with pytest.raises(TypeError):
+            graph.relations[(2, 1)] = "s"
+        with pytest.raises(AttributeError):
+            graph.relations.clear()
+        assert dict(graph.relations) == {(1, 2): "r"}
+
+    def test_pickle_and_deepcopy_rebuild_the_graph(self):
+        graph = KnowledgeGraph(("a b", "c"), {(1, 2): "r s", (2, 2): "t"})
+        lin = linearize(graph)
+        for copied in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)):
+            assert copied == graph
+            assert dict(copied.relations) == dict(graph.relations)
+            assert isinstance(copied.relations, MappingProxyType)
+            assert linearize(copied) == lin
+
+    def test_caller_dict_is_copied(self):
+        relations = {(1, 2): "r"}
+        graph = KnowledgeGraph(("a", "b"), relations)
+        lin = linearize(graph)
+        relations[(2, 1)] = "s"  # the caller's dict is not the graph's
+        assert dict(graph.relations) == {(1, 2): "r"}
+        assert linearize(graph) is lin
+
 
 class TestUnitSequence:
     def test_entities_then_relations(self):
@@ -130,6 +176,75 @@ class TestMentions:
     def test_multiple_occurrences(self):
         mentions = find_entity_mentions(("bo",), ("bo", "met", "bo"))
         assert mentions == {1: frozenset({1, 3})}
+
+    @pytest.mark.parametrize("entities, text", [
+        (("a a",), "a a a"),  # overlapping matches of one entity
+        (("a b", "b a"), "a b a b"),  # overlapping matches of two entities
+        (("a", "b c"), "a b c a b c"),  # adjacent mentions
+        (("a b c d",), "a b c"),  # an entity longer than the text
+        (("a b",), "a c a b"),  # first token also occurs where the rest does not follow
+        (("", " ", "a"), "a  b"),  # empty and whitespace surfaces find nothing
+        (("A B",), "a b"),  # case-folded
+    ])
+    def test_equals_sliding_window_on_edge_cases(self, entities, text):
+        tokens = tuple(text.split())
+        assert find_entity_mentions(entities, tokens) == sliding_window_mentions(entities, tokens)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_equals_sliding_window_on_random_texts(self, seed):
+        rng = random.Random(seed)
+        words = ["a", "b", "c", "D", "e"][: rng.randint(1, 5)]  # few words: many repeats
+        text = tuple(rng.choice(words) for _ in range(rng.randint(1, 30)))
+        entities = []
+        for _ in range(rng.randint(1, 6)):
+            width = rng.randint(1, 4)
+            if rng.random() < 0.5 and len(text) >= width:  # a slice of the text: a sure match
+                start = rng.randrange(len(text) - width + 1)
+                entities.append(" ".join(text[start : start + width]).upper())
+            else:
+                entities.append(" ".join(rng.choice(words) for _ in range(width)))
+        if rng.random() < 0.2:
+            entities.append(" " * rng.randint(0, 2))
+        entities = tuple(entities)
+        assert find_entity_mentions(entities, text) == sliding_window_mentions(entities, text)
+
+
+def sliding_window_mentions(entities, text):
+    """Reference mention search: compare every text window with every
+    entity's case-folded tokens."""
+    folded = [t.casefold() for t in text]
+    mentions = {}
+    for i, ent in enumerate(entities, start=1):
+        ent_toks = [t.casefold() for t in ent.split()]
+        width = len(ent_toks)
+        hits = set()
+        for start in range(len(folded) - width + 1):
+            if folded[start : start + width] == ent_toks:
+                hits.update(range(start + 1, start + width + 1))
+        if hits:
+            mentions[i] = frozenset(hits)
+    return mentions
+
+
+def reference_linearize(entities, relations):
+    """Reference linearization: ``<H> head <R> relation <T> tail`` per triple
+    in (i, j) order, token by token."""
+    tokens, ent_pos, rel_pos = [], {}, {}
+
+    def emit(surface):
+        start = len(tokens)
+        tokens.extend(surface.split())
+        return set(range(start + 1, len(tokens) + 1))
+
+    for (i, j) in sorted(relations):
+        tokens.append("<H>")
+        ent_pos.setdefault(i, set()).update(emit(entities[i - 1]))
+        tokens.append("<R>")
+        rel_pos[(i, j)] = emit(relations[(i, j)])
+        tokens.append("<T>")
+        ent_pos.setdefault(j, set()).update(emit(entities[j - 1]))
+    return (tuple(tokens), {i: frozenset(p) for i, p in ent_pos.items()},
+            {k: frozenset(p) for k, p in rel_pos.items()})
 
 
 GOOD_RECORD = {"entities": ["a", "b"], "triples": [[1, "r", 2]], "text": "a r b"}
@@ -230,6 +345,14 @@ class TestLoadCorpus:
         rec = {"entities": ["a", "b"], "triples": [[1, "r", 2]], "text": "a r b"}
         rec[field] = value
         with pytest.raises(CorpusParseError) as err:
+            load_corpus(self._write(tmp_path, [rec]))
+        assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("entity", ["", " ", "\t"])
+    def test_blank_entity_is_a_parse_error(self, tmp_path, entity):
+        # the mention search skips a blank surface, so the graph check names the line
+        rec = dict(GOOD_RECORD, entities=[entity, "b"])
+        with pytest.raises(CorpusParseError, match="entity 1 has an empty surface string") as err:
             load_corpus(self._write(tmp_path, [rec]))
         assert err.value.line_no == 1
 

@@ -10,7 +10,7 @@ import pytest
 from graph2text import training
 from graph2text.autograd import ParamStore, add, backward, scale
 from graph2text.errors import CheckpointError, NumericError, UsageError
-from graph2text.model import ModelSettings, parameter_shapes
+from graph2text.model import ModelSettings, parameter_count, parameter_shapes
 from graph2text.objectives import combined_pretrain_loss, loss_finetune
 from graph2text.synth import build_toy_model, overfit_corpus
 from graph2text.training import (
@@ -339,6 +339,17 @@ class TestParameterTable:
                 assert np.all(t.data == 0.0), name
             else:
                 assert 0.01 < t.data.std() < 0.03, name
+
+    @pytest.mark.parametrize("variant", ["seq", "joint", "rel"])
+    @pytest.mark.parametrize("encoder_layers, decoder_layers", [(1, 1), (1, 3), (4, 1), (3, 2)])
+    def test_closed_form_count_equals_the_walked_table(self, variant, encoder_layers,
+                                                       decoder_layers):
+        settings = ModelSettings(variant=variant, d_model=8, num_heads=2, d_ff=6,
+                                 encoder_layers=encoder_layers, decoder_layers=decoder_layers,
+                                 max_input_len=11, max_output_len=7)
+        table = parameter_shapes(*settings.configs(), 13)
+        assert parameter_count(*settings.configs(), 13) == sum(
+            math.prod(shape) for _, shape in table)
 
 
 class TestCheckpoint:

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from graph2text.data import linearize
 from graph2text.errors import EmptyCorpus
+from graph2text.synth import gradcheck_pair, overfit_corpus
 from graph2text.vocab import (
     MASK,
     SPECIALS,
@@ -14,7 +16,7 @@ from graph2text.vocab import (
     mask_text,
 )
 
-from conftest import make_pair
+from conftest import make_pair, random_graph
 
 
 class TestVocabulary:
@@ -50,11 +52,40 @@ class TestVocabulary:
         assert vocab.decode(len(SPECIALS) + 1) == "a"
         assert vocab.decode(len(SPECIALS) + 2) == "c"
 
+    @pytest.mark.parametrize("min_freq", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_counting_linearized_tokens_on_random_graphs(self, seed, min_freq):
+        rng = random.Random(seed)
+        corpus = []
+        for _ in range(rng.randint(1, 6)):
+            entities, relations = random_graph(rng)
+            text = " ".join(rng.choice(entities + ["and", "<M>", "<SEP>"]).split()[0]
+                            for _ in range(rng.randint(1, 12)))
+            corpus.append(make_pair(entities, relations, text))
+        vocab = build_vocab(corpus, min_freq=min_freq)
+        assert vocab.id_to_token == reference_vocab_tokens(corpus, min_freq)
+
+    @pytest.mark.parametrize("corpus", [overfit_corpus(20), [gradcheck_pair()]],
+                             ids=["overfit", "gradcheck"])
+    def test_equals_counting_linearized_tokens_on_synth_corpora(self, corpus):
+        assert build_vocab(corpus).id_to_token == reference_vocab_tokens(corpus, 1)
+
     def test_save_load_roundtrip(self, tmp_path, two_triple_pair):
         vocab = build_vocab([two_triple_pair])
         vocab.save(tmp_path / "vocab.txt")
         loaded = Vocabulary.load(tmp_path / "vocab.txt")
         assert loaded.id_to_token == vocab.id_to_token
+
+
+def reference_vocab_tokens(corpus, min_freq):
+    """The vocabulary by its definition: count the tokens of each pair's
+    linearization and text that are not special, keep those with count >=
+    min_freq, by count descending then lexicographically."""
+    counts = Counter()
+    for pair in corpus:
+        counts.update(t for t in linearize(pair.graph).tokens + pair.text if t not in SPECIALS)
+    kept = sorted((t for t, c in counts.items() if c >= min_freq), key=lambda t: (-counts[t], t))
+    return list(SPECIALS) + kept
 
 
 class TestMaskText:

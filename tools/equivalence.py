@@ -10,10 +10,12 @@ Run ``--save`` on one checkout and ``--against`` on another; each imports
 the ``seq``, ``joint`` and ``rel`` variants (d_model 16), and the first 8
 pairs of the two training bench corpora at seed 3 under ``joint`` and
 ``rel`` with the bench's d_model-64 model. For each input set the script
-records every as-initialized parameter array. For each pair it records the
-pretrain bundle (total and its three components) under ``random.Random(k)``
-and the finetune loss, each with every parameter gradient; for the first 4
-pairs of each input set it also records the beam-1 and beam-5 ids.
+records the vocabulary's token list and every as-initialized parameter
+array. For each pair it records the mention map as sorted (entity,
+position) rows, the pretrain bundle (total and its three components) under
+``random.Random(k)`` and the finetune loss, each with every parameter
+gradient; for the first 4 pairs of each input set it also records the
+beam-1 and beam-5 ids.
 
 It also trains a fresh toy model for 2 epochs at batch 3 (10 pairs, so the
 last batch holds 1) for each variant and task, and records a SHA-256 digest
@@ -31,7 +33,9 @@ digest of each run's ``log.jsonl`` and of its final ``params.bin`` and
 ``--against`` prints, per input set and overall, how many arrays are bit
 identical, the worst loss difference relative to the loss, the worst
 per-parameter max|grad difference| / max|reference grad|, and how many
-records compared exactly (ids, initial parameters, digests) differ. The
+records compared exactly (ids, set-up records, initial parameters,
+digests) differ; it names the first set-up records (vocabularies and
+mention maps) that differ, so a set-up change fails by name. The
 gate: losses within 1e-12 relative, gradients within 1e-12 of the
 reference's largest, every exact record equal and the same set of records.
 The exit status is 0 when the gate holds and the round trips are byte
@@ -66,6 +70,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import corpus  # noqa: E402  (bench/corpus.py, read only)
 
 GATE = 1e-12
+SETUP_RECORDS = ("/vocab", "/mentions")
 VARIANTS = ("seq", "joint", "rel")
 TOY_PAIRS = 10
 BENCH_SEED = 3
@@ -186,10 +191,14 @@ def record_finetune_init(records: dict) -> None:
 def record_all() -> tuple[dict[str, np.ndarray], list[str]]:
     records: dict[str, np.ndarray] = {}
     for set_name, model, pairs in input_sets():
+        records[f"{set_name}/vocab"] = np.asarray(model.vocab.id_to_token)
         for name, tensor in model.store.items():
             records[f"{set_name}/init/{name}"] = tensor.data.copy()
         for k, pair in enumerate(pairs):
             key = f"{set_name}/{k}"
+            records[f"{key}/mentions"] = np.asarray(sorted(
+                (i, p) for i, positions in pair.entity_mentions.items() for p in positions
+            ), dtype=np.int64).reshape(-1, 2)
             bundle = objectives.combined_pretrain_loss(
                 model, pair, random.Random(k), ot_config=OT_CONFIG
             )
@@ -216,6 +225,7 @@ def compare(records: dict, reference: dict) -> bool:
     missing = sorted(set(reference) - set(records))
     extra = sorted(set(records) - set(reference))
     sets: dict[str, dict] = {}
+    setup, setup_differ = 0, []
     for key in sorted(set(records) & set(reference)):
         got, want = records[key], reference[key]
         stats = sets.setdefault(key.split("/", 1)[0], dict(
@@ -225,10 +235,14 @@ def compare(records: dict, reference: dict) -> bool:
         same = got.shape == want.shape and got.dtype == want.dtype
         identical = same and got.tobytes() == want.tobytes()
         stats["identical"] += identical
-        if "/grad/" not in key and "/loss" not in key:  # ids, initial parameters, digests
+        if "/grad/" not in key and "/loss" not in key:  # ids, set-up, parameters, digests
             kind = "ids" if key.endswith("_ids") else "exact"
             stats[kind] += 1
             stats[f"{kind}_differ"] += not identical
+            if key.endswith(SETUP_RECORDS):
+                setup += 1
+                if not identical:
+                    setup_differ.append(key)
         elif not same:
             stats["grad"], stats["grad_at"] = float("inf"), key
         elif "/grad/" in key:
@@ -256,8 +270,10 @@ def compare(records: dict, reference: dict) -> bool:
     print(f"worst max|grad difference| / max|reference grad|: {worst['grad']:.3e} "
           f"({worst['grad_at']})")
     print(f"id sequences that differ: {total['ids_differ']} of {total['ids']}")
-    print(f"initial parameters and digests that differ: {total['exact_differ']} of "
-          f"{total['exact']}")
+    print(f"vocabularies and mention maps that differ: {len(setup_differ)} of {setup}"
+          + (f" {setup_differ[:3]}" if setup_differ else ""))
+    print(f"set-up records, initial parameters and digests that differ: "
+          f"{total['exact_differ']} of {total['exact']}")
     if missing or extra:
         print(f"records missing: {len(missing)} {missing[:3]}; extra: {len(extra)} {extra[:3]}")
     return (not missing and not extra and worst_loss <= GATE and worst["grad"] <= GATE
